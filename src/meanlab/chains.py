@@ -1,5 +1,5 @@
 """Registry of strict inequality chains between the means, a grid verifier,
-sharpness probes for the best-possible constants, and exponent bracketing.
+sharpness probes for the chains' constants, and exponent bracketing.
 
 A chain is an ascending sequence of expressions; the verifier's primitive is
 the per-link relative margin (rhs - lhs) / max(|lhs|, |rhs|), which equals
@@ -28,7 +28,7 @@ from .errors import (
     EvalError,
     NonMonotonePredicateError,
 )
-from .expressions import MeanExpr, evaluate, parse_expr
+from .expressions import GridContext, MeanExpr, evaluate, parse_expr
 from .means import power_mean
 
 DEFAULT_MARGIN_GUARD = 1e-13
@@ -145,48 +145,59 @@ def _rel_margins(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
+def scan_links(members, ctx: GridContext):
+    """Evaluate ``members`` on ``ctx`` in order and yield, per adjacent link,
+    (lhs values, rhs values, minimum relative margin, first argmin index).
+
+    Members are evaluated as the scan reaches them, so only the current
+    link's values are held, not the whole chain's."""
+    rhs = None
+    for member in members:
+        lhs, rhs = rhs, np.asarray(ctx.evaluate(member))
+        if lhs is not None:
+            margins = _rel_margins(lhs, rhs)
+            j = int(np.argmin(margins))
+            yield lhs, rhs, float(margins[j]), j
+
+
+def verify_chains(
+    chains,
+    grid: GridSpec | None = None,
+    margin_guard: float = DEFAULT_MARGIN_GUARD,
+) -> list[ChainReport]:
+    """Evaluate every adjacent link of each chain on the grid; a chain passes
+    iff all its margins clear the guard.  The chains share one grid context,
+    so each mean is computed once.  Deterministic: fixed grid, fixed
+    reduction order."""
+    grid = grid or GridSpec()
+    r = grid.ratios()
+    ctx = GridContext(r * grid.b, grid.b)
+    described = grid.describe()
+    reports = []
+    for chain in chains:
+        texts = chain.member_texts
+        try:
+            links = tuple(
+                LinkReport(lhs, rhs, margin, float(r[j]))
+                for lhs, rhs, (_, _, margin, j) in zip(
+                    texts, texts[1:], scan_links(chain.members, ctx)
+                )
+            )
+        except EvalError as exc:
+            reports.append(ChainReport(chain.id, (), False, described, margin_guard, str(exc)))
+            continue
+        passed = all(l.min_margin > margin_guard for l in links)
+        reports.append(ChainReport(chain.id, links, passed, described, margin_guard))
+    return reports
+
+
 def verify_chain(
     chain: InequalityChain,
     grid: GridSpec | None = None,
     margin_guard: float = DEFAULT_MARGIN_GUARD,
 ) -> ChainReport:
-    """Evaluate every adjacent link on the grid; pass iff all margins clear
-    the guard.  Deterministic: fixed grid, fixed reduction order."""
-    grid = grid or GridSpec()
-    r = grid.ratios()
-    a = r * grid.b
-    b = grid.b
-    try:
-        values = [np.asarray(evaluate(m, a, b)) for m in chain.members]
-    except EvalError as exc:
-        return ChainReport(
-            chain_id=chain.id,
-            links=(),
-            passed=False,
-            grid=grid.describe(),
-            margin_guard=margin_guard,
-            error=str(exc),
-        )
-    links = []
-    for i in range(len(values) - 1):
-        margins = _rel_margins(values[i], values[i + 1])
-        j = int(np.argmin(margins))
-        links.append(
-            LinkReport(
-                lhs=chain.member_texts[i],
-                rhs=chain.member_texts[i + 1],
-                min_margin=float(margins[j]),
-                argmin_ratio=float(r[j]),
-            )
-        )
-    passed = all(l.min_margin > margin_guard for l in links)
-    return ChainReport(
-        chain_id=chain.id,
-        links=tuple(links),
-        passed=passed,
-        grid=grid.describe(),
-        margin_guard=margin_guard,
-    )
+    """verify_chains for a single chain."""
+    return verify_chains([chain], grid, margin_guard)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +432,14 @@ def _static_chains() -> list[InequalityChain]:
 _SUITE: tuple[InequalityChain, ...] | None = None
 
 
-def _sanity_check(chain: InequalityChain) -> None:
+def _sanity_check(chains) -> None:
     # finite near the diagonal, strictly ascending at a reference point
-    near = [float(evaluate(m, 1.0 + 1e-6, 1.0)) for m in chain.members]
-    if not all(math.isfinite(v) for v in near):
-        raise ConfigError(f"chain {chain.id} not finite near the diagonal")
-    ref = [float(evaluate(m, 4.0, 1.0)) for m in chain.members]
-    for lo, hi in zip(ref, ref[1:]):
-        if not lo < hi:
+    ctx = GridContext(np.array([1.0 + 1e-6, 4.0]), 1.0)
+    for chain in chains:
+        near, ref = np.array([ctx.evaluate(m) for m in chain.members]).T
+        if not np.all(np.isfinite(near)):
+            raise ConfigError(f"chain {chain.id} not finite near the diagonal")
+        if not np.all(ref[:-1] < ref[1:]):
             raise ConfigError(f"chain {chain.id} is not ascending at (4, 1)")
 
 
@@ -440,8 +451,7 @@ def builtin_suite() -> tuple[InequalityChain, ...]:
         ids = [c.id for c in chains]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate chain ids in the registry")
-        for c in chains:
-            _sanity_check(c)
+        _sanity_check(chains)
         _SUITE = tuple(chains)
     return _SUITE
 
@@ -467,6 +477,10 @@ class ProbeTemplate:
     tighten_sign: float  # nominal + sign*eps tightens the bound
     build: object = field(repr=False)  # callable(value) -> InequalityChain
 
+    @property
+    def direction(self) -> str:
+        return "tighten_lower" if self.side == "lower" else "tighten_upper"
+
 
 def _probe_templates() -> dict[tuple[str, str], ProbeTemplate]:
     t = [
@@ -489,10 +503,6 @@ def _probe_templates() -> dict[tuple[str, str], ProbeTemplate]:
 
 
 _TEMPLATES = _probe_templates()
-
-
-def probe_constants() -> tuple[ProbeTemplate, ...]:
-    return tuple(_TEMPLATES.values())
 
 
 @dataclass(frozen=True)
@@ -521,6 +531,23 @@ class ProbeOutcome:
         }
 
 
+def _refined_context(grid: GridSpec) -> GridContext:
+    return GridContext(refined_ratios(grid) * grid.b, grid.b)
+
+
+def _probe(
+    tpl: ProbeTemplate, epsilon: float, ctx: GridContext, margin_guard: float
+) -> ProbeOutcome:
+    tightened = tpl.build(tpl.nominal + tpl.tighten_sign * epsilon)
+    worst, worst_idx = math.inf, 0
+    for _, _, margin, j in scan_links(tightened.members, ctx):
+        if margin < worst:
+            worst, worst_idx = margin, j
+    violated = worst < -margin_guard
+    pair = (float(ctx.a[worst_idx]), float(ctx.b)) if violated else None
+    return ProbeOutcome(tpl.chain_id, tpl.constant, tpl.direction, epsilon, violated, pair, worst)
+
+
 def sharpness_probe(
     chain_id: str,
     constant: str,
@@ -529,9 +556,18 @@ def sharpness_probe(
     grid: GridSpec | None = None,
     margin_guard: float = DEFAULT_MARGIN_GUARD,
 ) -> ProbeOutcome:
-    """Tighten one best-possible constant by epsilon and hunt for a violation
-    on the refined grid.  violation_found certifies the constant cannot be
-    improved by epsilon; still_holds means no resolvable counterexample."""
+    """Tighten one chain constant by epsilon and hunt for a violation on the
+    refined grid.  violation_found certifies the constant cannot be improved
+    by epsilon; still_holds means no resolvable counterexample.
+
+    Two probed constants are not shown sharp this way.  T24's k is a valid
+    upper order but not the best one: the best order is about 0.5016276, so
+    k can be tightened by up to ~0.036 and the chain still holds.  T26's
+    alpha2 = 2 is forced by homogeneity, not by a tangency: (A*X)^(1/alpha2)
+    has degree 2/alpha2, so any other value compares quantities of different
+    degree, and at fixed b the outcome depends on b (with b = 1 the grid has
+    A*X > 1, a larger alpha2 only lowers the left side, and the probe reads
+    still_holds)."""
     if direction not in ("tighten_upper", "tighten_lower"):
         raise DomainError("direction must be tighten_upper or tighten_lower")
     if not (epsilon > 0.0 and math.isfinite(epsilon)):
@@ -543,28 +579,19 @@ def sharpness_probe(
             f"chain {chain_id!r} has no probe template for constant {constant!r}"
             f" (parameterized chains: {known})"
         )
-    expected = "tighten_lower" if tpl.side == "lower" else "tighten_upper"
-    if direction != expected:
+    if direction != tpl.direction:
         raise DomainError(
             f"constant {constant!r} of {chain_id} is a {tpl.side}-side constant;"
-            f" use {expected}"
+            f" use {tpl.direction}"
         )
-    tightened = tpl.build(tpl.nominal + tpl.tighten_sign * epsilon)
-    grid = grid or GridSpec()
-    r = refined_ratios(grid)
-    a = r * grid.b
-    values = [np.asarray(evaluate(m, a, grid.b)) for m in tightened.members]
-    worst = math.inf
-    worst_idx = 0
-    for i in range(len(values) - 1):
-        margins = _rel_margins(values[i], values[i + 1])
-        j = int(np.argmin(margins))
-        if margins[j] < worst:
-            worst = float(margins[j])
-            worst_idx = j
-    violated = worst < -margin_guard
-    pair = (float(a[worst_idx]), float(grid.b)) if violated else None
-    return ProbeOutcome(chain_id, constant, direction, epsilon, violated, pair, worst)
+    return _probe(tpl, epsilon, _refined_context(grid or GridSpec()), margin_guard)
+
+
+def sharpness_probes(grid: GridSpec | None = None, epsilon: float = 1e-3) -> list[ProbeOutcome]:
+    """sharpness_probe for every template, in registry order, tightening
+    each constant by epsilon; the probes share one refined-grid context."""
+    ctx = _refined_context(grid or GridSpec())
+    return [_probe(tpl, epsilon, ctx, DEFAULT_MARGIN_GUARD) for tpl in _TEMPLATES.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -679,13 +706,8 @@ def conjecture_scan(grid: GridSpec | None = None) -> ConjectureReport:
     """Minimum of P*X - I*L over the grid: numerical evidence only."""
     grid = grid or GridSpec()
     r = grid.ratios()
-    a = r * grid.b
     px_expr, il_expr = conjecture_margin_expr()
-    px = np.asarray(evaluate(px_expr, a, grid.b))
-    il = np.asarray(evaluate(il_expr, a, grid.b))
-    margins = _rel_margins(il, px)  # (PX - IL)/max scale
-    j = int(np.argmin(margins))
-    m = float(margins[j])
+    [(il, px, m, j)] = scan_links((il_expr, px_expr), GridContext(r * grid.b, grid.b))
     sign = "positive" if m > 0 else ("negative" if m < 0 else "zero")
     return ConjectureReport(
         min_margin=m,

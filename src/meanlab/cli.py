@@ -3,7 +3,8 @@ registry, recover sharp constants, emit plot tables, and bracket exponents.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
 I/O error.  Reports are deterministic: identical configuration yields byte
-identical output, independent of MEANLAB_THREADS.
+identical output.  Verification runs in one thread, sharing each grid's mean
+values across all chains; MEANLAB_THREADS is not read.
 """
 
 from __future__ import annotations
@@ -11,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,17 +35,6 @@ _CHECK_FAILED = 1
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("MEANLAB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"MEANLAB_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ConfigError("MEANLAB_THREADS must be >= 0 (0 means auto)")
-    return n or (os.cpu_count() or 1)
 
 
 def _grid_from_args(args) -> GridSpec:
@@ -85,7 +73,8 @@ def _constant_recovery() -> list[dict]:
 
     alpha1 equals the zero limit of P/(A+G-X); beta1 and alpha2 are algebraic
     images of recovered limits (1/c and 1 + the zero limit of the exponent
-    function); q and k are closed forms re-evaluated directly.
+    function).  q and k are not recovered: their rows give the closed form
+    itself, so their error is 0 by construction.
     """
     est: dict[str, float] = {}
     fns = ratios.RatioFn
@@ -99,17 +88,10 @@ def _constant_recovery() -> list[dict]:
     est["pi_over_2e"] = ratios.endpoint_limit(fns.X_OVER_P, "half_pi")
     est["beta1"] = 1.0 / est["c"]
     est["alpha2"] = 1.0 + est["one_log_gap"]
-    consts = ratios.named_constants()
     rows = []
-    for name, nc in consts.items():
-        if name in est:
-            estimate, method = est[name], "endpoint_limit"
-        elif name == "q":
-            estimate, method = math.log(2.0) / (1.0 + math.log(2.0)), "closed_form"
-        elif name == "k":
-            estimate, method = (5.0 * math.log(2.0) + 2.0) / (6.0 * (math.log(2.0) + 1.0)), "closed_form"
-        else:  # pragma: no cover
-            continue
+    for name, nc in ratios.named_constants().items():
+        recovered = name in est
+        estimate = est[name] if recovered else nc.value
         rows.append(
             {
                 "name": name,
@@ -117,7 +99,7 @@ def _constant_recovery() -> list[dict]:
                 "value": nc.value,
                 "estimate": estimate,
                 "abs_error": abs(estimate - nc.value),
-                "method": method,
+                "method": "endpoint_limit" if recovered else "closed_form",
             }
         )
     # the shared limit 1 at both zero endpoints, recovered for completeness
@@ -135,35 +117,15 @@ def _constant_recovery() -> list[dict]:
     return rows
 
 
-def _sharpness_rows(grid: GridSpec, epsilon: float = 1e-3) -> list[dict]:
-    rows = []
-    for tpl in chains.probe_constants():
-        direction = "tighten_lower" if tpl.side == "lower" else "tighten_upper"
-        outcome = chains.sharpness_probe(
-            tpl.chain_id, tpl.constant, direction, epsilon, grid=grid
-        )
-        rows.append(outcome.as_dict())
-    return rows
-
-
 def _cmd_verify(args) -> int:
     grid = _grid_from_args(args)
     guard = args.guard
     if not (0.0 < guard < 1e-6):
         raise ConfigError("margin guard must lie in (0, 1e-6)")
     selected = _selected_chains(args)
-    workers = _thread_count()
-
-    def run(chain):
-        return chains.verify_chain(chain, grid, margin_guard=guard)
-
-    if workers == 1:
-        reports = [run(c) for c in selected]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run, selected))
+    reports = chains.verify_chains(selected, grid, margin_guard=guard)
     constants = _constant_recovery()
-    sharpness = _sharpness_rows(grid)
+    sharpness = [o.as_dict() for o in chains.sharpness_probes(grid)]
     chains_pass = all(r.passed for r in reports)
     constants_pass = all(row["abs_error"] < 1e-6 for row in constants)
     overall = chains_pass and constants_pass

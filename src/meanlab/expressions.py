@@ -233,8 +233,13 @@ def to_text(expr: MeanExpr) -> str:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-class _Ctx:
-    """Per-grid cache of mean values and relative offsets."""
+class GridContext:
+    """One grid of pairs with a cache of mean values and relative offsets.
+
+    Every expression evaluated on the same context shares the cache, so each
+    mean kernel runs once per grid however many expressions use it.  Means
+    applied to subexpressions (``L(X, A)``) are not cached.
+    """
 
     def __init__(self, a, b):
         self.a = np.asarray(a, dtype=float)
@@ -268,6 +273,16 @@ class _Ctx:
         b = self.b if self.b.ndim else np.full(1, float(self.b))
         return (float(np.ravel(a)[min(idx, a.size - 1)]), float(np.ravel(b)[min(idx, b.size - 1)]))
 
+    def evaluate(self, expr: MeanExpr):
+        """Evaluate over this context's pairs: a float for a scalar pair,
+        otherwise an array of the grid's shape."""
+        out = np.asarray(_eval(expr, self), dtype=float)
+        if self.a.ndim == 0 and self.b.ndim == 0:
+            return float(out if out.ndim == 0 else out[()])
+        if out.ndim == 0:  # constant expression over an array grid
+            return np.full(np.broadcast(self.a, self.b).shape, float(out))
+        return out
+
 
 def _is_one(node: MeanExpr) -> bool:
     return isinstance(node, Num) and node.value == 1.0
@@ -284,13 +299,13 @@ def _mean_ratio(node: MeanExpr):
     return None
 
 
-def _guard(ctx: _Ctx, node: MeanExpr, values, condition_bad):
+def _guard(ctx: GridContext, node: MeanExpr, values, condition_bad):
     if np.any(condition_bad):
         raise EvalError("invalid operand", to_text(node), ctx.first_bad_pair(condition_bad))
     return values
 
 
-def _eval(node: MeanExpr, ctx: _Ctx):
+def _eval(node: MeanExpr, ctx: GridContext):
     if isinstance(node, Num):
         return np.float64(node.value)
     if isinstance(node, Const):
@@ -352,15 +367,7 @@ def _eval(node: MeanExpr, ctx: _Ctx):
 
 def evaluate(expr: MeanExpr, a, b):
     """Evaluate over scalars or arrays of pair values (elementwise)."""
-    ctx = _Ctx(a, b)
-    out = _eval(expr, ctx)
-    scalar = ctx.a.ndim == 0 and ctx.b.ndim == 0
-    out = np.asarray(out, dtype=float)
-    if scalar:
-        return float(out if out.ndim == 0 else out[()])
-    if out.ndim == 0:  # constant expression over an array grid
-        return np.full(np.broadcast(ctx.a, ctx.b).shape, float(out))
-    return out
+    return GridContext(a, b).evaluate(expr)
 
 
 def eval_expr(expr: MeanExpr, pair: means.PositivePair) -> float:

@@ -1,9 +1,12 @@
 import json
 import math
-import os
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from meanlab import means
+from meanlab.chains import builtin_suite
 from meanlab.cli import main
 
 import oracles
@@ -138,9 +141,34 @@ class TestDeterminism:
         _, four, _ = run("verify", *FAST_VERIFY)
         assert serial == auto == four
 
-    def test_bad_thread_env_exit_2(self, run, monkeypatch):
-        monkeypatch.setenv("MEANLAB_THREADS", "many")
-        assert run("verify", *FAST_VERIFY)[0] == 2
+
+class TestSharedGridContext:
+    def test_each_mean_computed_once_per_grid(self, monkeypatch, tmp_path):
+        # chains share one context per grid and probes one per refined grid,
+        # so a mean kernel runs once per (kind, grid); the exception is a
+        # mean applied to subexpressions, such as L(X, A), whose operands
+        # are computed arrays rather than the grid's (a, b) with scalar b
+        calls = Counter()
+        nested = Counter()
+        original = means.mean_kernel
+
+        def counting_kernel(kind):
+            kernel = original(kind)
+
+            def counted(a, b):
+                key = (kind.label(), np.broadcast(np.asarray(a), np.asarray(b)).size)
+                (nested if np.ndim(b) else calls)[key] += 1
+                return kernel(a, b)
+
+            return counted
+
+        monkeypatch.setattr(means, "mean_kernel", counting_kernel)
+        out = tmp_path / "report.json"
+        rc = main(["verify", "--grid-min", "0.1", "--points", "2000", "--out", str(out)])
+        assert rc == 0
+        assert calls and max(calls.values()) == 1, calls.most_common(3)
+        nested_texts = [t for c in builtin_suite() for t in c.member_texts if "L(X, A)" in t]
+        assert nested == Counter({("L", 2000): len(nested_texts)})
 
 
 class TestEmit:
