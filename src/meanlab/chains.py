@@ -16,6 +16,7 @@ margins below -margin_guard as violations.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,6 +33,12 @@ from .expressions import GridContext, MeanExpr, evaluate, parse_expr
 from .means import power_mean
 
 DEFAULT_MARGIN_GUARD = 1e-13
+
+#: Grid points per chunk.  The grid stages evaluate each chunk on its own
+#: context, so a member array (512 KiB) and the few a link scan holds at once
+#: stay in a core's L2 cache, and the cached means take memory per chunk, not
+#: per grid.
+CHUNK_POINTS = 1 << 16
 
 _NC = _ratios_mod.named_constants()
 _ALPHA = 2.0 / 3.0
@@ -141,8 +148,7 @@ class ChainReport:
 def _rel_margins(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     denom = np.maximum(np.abs(lhs), np.abs(rhs))
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(denom > 0.0, (rhs - lhs) / np.where(denom > 0.0, denom, 1.0), 0.0)
-    return out
+        return np.divide(rhs - lhs, denom, out=np.zeros_like(denom), where=denom > 0.0)
 
 
 def scan_links(members, ctx: GridContext):
@@ -160,34 +166,101 @@ def scan_links(members, ctx: GridContext):
             yield lhs, rhs, float(margins[j]), j
 
 
+def _worker_count(chunks: int) -> int:
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not available outside Linux
+        cores = os.cpu_count() or 1
+    return min(chunks, cores)
+
+
+def _map_chunks(scan, a: np.ndarray, b) -> list:
+    """scan(GridContext, offset) on each CHUNK_POINTS slice of the pairs
+    (a, b), results in chunk order.  Several chunks run on a thread pool;
+    the kernels spend their time in numpy, which releases the GIL."""
+    offsets = range(0, a.size, CHUNK_POINTS)
+
+    def run(offset):
+        return scan(GridContext(a[offset : offset + CHUNK_POINTS], b), offset)
+
+    workers = _worker_count(len(offsets))
+    if workers < 2:
+        return [run(offset) for offset in offsets]
+    from concurrent.futures import ThreadPoolExecutor  # importing it costs ~8 ms
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(run, offsets))
+
+
+def _first_min(parts):
+    """Merge per-chunk (min margin, grid index, ...) records, given in grid
+    order, the way np.argmin reads the whole grid: the first NaN if there is
+    one, else the first index that holds the minimum."""
+    best = None
+    for part in parts:
+        if best is None or part[0] < best[0] or (math.isnan(part[0]) and not math.isnan(best[0])):
+            best = part
+    return best
+
+
+def _link_minima(members, ctx: GridContext, offset: int = 0):
+    """(min margin, grid index, rhs - lhs there) for each link of members,
+    or the EvalError that evaluating them raised."""
+    try:
+        return [
+            (margin, offset + j, float(rhs[j] - lhs[j]))
+            for lhs, rhs, margin, j in scan_links(members, ctx)
+        ]
+    except EvalError as exc:
+        return exc
+
+
+def _grid_link_minima(member_lists, a: np.ndarray, b) -> list:
+    """_link_minima of each member list over the pairs (a, b), evaluated
+    chunk by chunk and merged per link with a first-index argmin."""
+    per_chunk = _map_chunks(
+        lambda ctx, offset: [_link_minima(m, ctx, offset) for m in member_lists], a, b
+    )
+    whole = None
+    out = []
+    for members, parts in zip(member_lists, zip(*per_chunk)):
+        if any(isinstance(p, EvalError) for p in parts):
+            # members are evaluated one after another over all points, so the
+            # first chunk to fail need not hold the whole grid's first error
+            if whole is None:
+                whole = GridContext(a, b)
+            out.append(_link_minima(members, whole))
+        else:
+            out.append([_first_min(link) for link in zip(*parts)])
+    return out
+
+
 def verify_chains(
     chains,
     grid: GridSpec | None = None,
     margin_guard: float = DEFAULT_MARGIN_GUARD,
 ) -> list[ChainReport]:
     """Evaluate every adjacent link of each chain on the grid; a chain passes
-    iff all its margins clear the guard.  The chains share one grid context,
-    so each mean is computed once.  Deterministic: fixed grid, fixed
-    reduction order."""
+    iff all its margins clear the guard.  The chains share one grid context
+    per chunk, so each mean is computed once per chunk.  Deterministic: the
+    report does not depend on the chunking or the thread count."""
     grid = grid or GridSpec()
+    chains = list(chains)
     r = grid.ratios()
-    ctx = GridContext(r * grid.b, grid.b)
     described = grid.describe()
+    minima = _grid_link_minima([c.members for c in chains], r * grid.b, grid.b)
     reports = []
-    for chain in chains:
-        texts = chain.member_texts
-        try:
-            links = tuple(
-                LinkReport(lhs, rhs, margin, float(r[j]))
-                for lhs, rhs, (_, _, margin, j) in zip(
-                    texts, texts[1:], scan_links(chain.members, ctx)
-                )
-            )
-        except EvalError as exc:
-            reports.append(ChainReport(chain.id, (), False, described, margin_guard, str(exc)))
+    for chain, links in zip(chains, minima):
+        if isinstance(links, EvalError):
+            reports.append(ChainReport(chain.id, (), False, described, margin_guard, str(links)))
             continue
-        passed = all(l.min_margin > margin_guard for l in links)
-        reports.append(ChainReport(chain.id, links, passed, described, margin_guard))
+        texts = chain.member_texts
+        link_reports = tuple(
+            LinkReport(lhs, rhs, margin, float(r[j]))
+            for lhs, rhs, (margin, j, _) in zip(texts, texts[1:], links)
+        )
+        passed = all(l.min_margin > margin_guard for l in link_reports)
+        reports.append(ChainReport(chain.id, link_reports, passed, described, margin_guard))
     return reports
 
 
@@ -531,21 +604,23 @@ class ProbeOutcome:
         }
 
 
-def _refined_context(grid: GridSpec) -> GridContext:
-    return GridContext(refined_ratios(grid) * grid.b, grid.b)
-
-
-def _probe(
-    tpl: ProbeTemplate, epsilon: float, ctx: GridContext, margin_guard: float
-) -> ProbeOutcome:
-    tightened = tpl.build(tpl.nominal + tpl.tighten_sign * epsilon)
-    worst, worst_idx = math.inf, 0
-    for _, _, margin, j in scan_links(tightened.members, ctx):
-        if margin < worst:
-            worst, worst_idx = margin, j
-    violated = worst < -margin_guard
-    pair = (float(ctx.a[worst_idx]), float(ctx.b)) if violated else None
-    return ProbeOutcome(tpl.chain_id, tpl.constant, tpl.direction, epsilon, violated, pair, worst)
+def _run_probes(templates, epsilon: float, grid: GridSpec, margin_guard: float):
+    a = refined_ratios(grid) * grid.b
+    tightened = [tpl.build(tpl.nominal + tpl.tighten_sign * epsilon).members for tpl in templates]
+    outcomes = []
+    for tpl, links in zip(templates, _grid_link_minima(tightened, a, grid.b)):
+        if isinstance(links, EvalError):
+            raise links
+        worst, worst_idx = math.inf, 0
+        for margin, j, _ in links:
+            if margin < worst:
+                worst, worst_idx = margin, j
+        violated = worst < -margin_guard
+        pair = (float(a[worst_idx]), float(grid.b)) if violated else None
+        outcomes.append(
+            ProbeOutcome(tpl.chain_id, tpl.constant, tpl.direction, epsilon, violated, pair, worst)
+        )
+    return outcomes
 
 
 def sharpness_probe(
@@ -584,14 +659,14 @@ def sharpness_probe(
             f"constant {constant!r} of {chain_id} is a {tpl.side}-side constant;"
             f" use {tpl.direction}"
         )
-    return _probe(tpl, epsilon, _refined_context(grid or GridSpec()), margin_guard)
+    return _run_probes([tpl], epsilon, grid or GridSpec(), margin_guard)[0]
 
 
 def sharpness_probes(grid: GridSpec | None = None, epsilon: float = 1e-3) -> list[ProbeOutcome]:
     """sharpness_probe for every template, in registry order, tightening
-    each constant by epsilon; the probes share one refined-grid context."""
-    ctx = _refined_context(grid or GridSpec())
-    return [_probe(tpl, epsilon, ctx, DEFAULT_MARGIN_GUARD) for tpl in _TEMPLATES.values()]
+    each constant by epsilon; the probes share one context per chunk of the
+    refined grid."""
+    return _run_probes(list(_TEMPLATES.values()), epsilon, grid or GridSpec(), DEFAULT_MARGIN_GUARD)
 
 
 # ---------------------------------------------------------------------------
@@ -707,11 +782,14 @@ def conjecture_scan(grid: GridSpec | None = None) -> ConjectureReport:
     grid = grid or GridSpec()
     r = grid.ratios()
     px_expr, il_expr = conjecture_margin_expr()
-    [(il, px, m, j)] = scan_links((il_expr, px_expr), GridContext(r * grid.b, grid.b))
+    [links] = _grid_link_minima([(il_expr, px_expr)], r * grid.b, grid.b)
+    if isinstance(links, EvalError):
+        raise links
+    [(m, j, difference)] = links
     sign = "positive" if m > 0 else ("negative" if m < 0 else "zero")
     return ConjectureReport(
         min_margin=m,
-        min_difference=float(px[j] - il[j]),
+        min_difference=difference,
         argmin_ratio=float(r[j]),
         sign=sign,
         resolved=False,

@@ -3,8 +3,11 @@ registry, recover sharp constants, emit plot tables, and bracket exponents.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
 I/O error.  Reports are deterministic: identical configuration yields byte
-identical output.  Verification runs in one thread, sharing each grid's mean
-values across all chains; MEANLAB_THREADS is not read.
+identical output.  Verification, the sharpness probes and the conjecture scan
+evaluate the grid in chunks of chains.CHUNK_POINTS points, on a thread per
+core when there are several chunks; each chunk's mean values are shared by
+all chains, and the report does not depend on the chunking or the thread
+count.  MEANLAB_THREADS is not read.
 """
 
 from __future__ import annotations

@@ -259,22 +259,22 @@ class TestAcceptance:
         )
 
     def test_criterion_9_determinism(self, capsys, monkeypatch):
-        def capture(*argv):
-            main(list(argv))
+        def capture(chunk_points=None, workers=None):
+            if chunk_points is not None:
+                monkeypatch.setattr(chains, "CHUNK_POINTS", chunk_points)
+                monkeypatch.setattr(chains, "_worker_count", lambda chunks: min(chunks, workers))
+            main(["verify", "--points", "2000"])
             return capsys.readouterr().out
 
-        args = ("verify", "--points", "2000")
-        first = capture(*args)
-        second = capture(*args)
-        monkeypatch.setenv("MEANLAB_THREADS", "1")
-        serial = capture(*args)
-        monkeypatch.setenv("MEANLAB_THREADS", "0")
-        auto = capture(*args)
-        ok = first == second == serial == auto and len(first) > 1000
+        first = capture()
+        second = capture()
+        serial = capture(300, 1)  # 7 chunks of the grid, 8 of the refined grid
+        threaded = capture(300, 4)
+        ok = first == second == serial == threaded and len(first) > 1000
         with capsys.disabled():
             _criterion(
                 9,
-                "cmd_verify byte-identical across runs and thread counts",
+                "cmd_verify byte-identical across runs, chunkings and thread counts",
                 ok,
                 f"report size {len(first)} bytes",
             )

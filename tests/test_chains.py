@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -149,6 +151,73 @@ class TestVerifyChain:
         report = verify_chain(broken, GridSpec(r_min=0.5, r_max=10.0, n=10))
         assert not report.passed
         assert report.error is not None
+
+    def test_eval_error_is_the_whole_grids_first(self, monkeypatch):
+        # the sqrt fails from a/b ~ 13.9 on and the log only at a/b < ~1.33:
+        # over the whole grid the sqrt fails first, but the first chunk of
+        # 1000 points fails only in the log
+        broken = InequalityChain("broken", ("sqrt(2 - A/G) + log(A/G - 1.01)", "A"), "test")
+        grid = GridSpec(r_min=1e-3, r_max=1e3, n=5000)
+        whole = verify_chain(broken, grid)
+        monkeypatch.setattr(chains, "CHUNK_POINTS", 1000)
+        assert verify_chain(broken, grid) == whole
+        assert whole.error.startswith("invalid operand in subexpression 'sqrt(")
+
+
+class TestChunkedScan:
+    def test_first_min_matches_argmin_over_random_chunkings(self):
+        rng = np.random.default_rng(5)
+        cases = [
+            rng.integers(0, 4, 50).astype(float),  # many ties
+            np.zeros(50),  # all equal
+            np.where(rng.random(50) < 0.1, np.nan, rng.integers(0, 4, 50).astype(float)),
+            np.full(50, np.nan),
+            np.r_[np.ones(20), -0.0, 0.0, np.ones(28)],
+        ]
+        for margins in cases:
+            j = int(np.argmin(margins))
+            for _ in range(50):
+                cuts = np.sort(rng.choice(np.arange(1, margins.size), rng.integers(0, 8), False))
+                bounds = [0, *cuts.tolist(), margins.size]
+                parts = []
+                for lo, hi in zip(bounds, bounds[1:]):
+                    k = int(np.argmin(margins[lo:hi]))
+                    parts.append((float(margins[lo + k]), lo + k))
+                got, index = chains._first_min(parts)
+                assert index == j, (margins, bounds)
+                assert got == margins[j] or (math.isnan(got) and math.isnan(margins[j]))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="Linux only")
+    def test_one_worker_per_core_and_none_idle(self):
+        assert chains._worker_count(1) == 1
+        assert chains._worker_count(1 << 20) == len(os.sched_getaffinity(0))
+
+    def test_more_threads_than_cores_match_one_chunk(self, monkeypatch):
+        # the chunks share only read-only inputs and numpy's lazily built
+        # series tables; switch threads often to give a race room to show
+        grid = GridSpec(r_min=1e-12, r_max=1.0001, n=1000)
+        suite = builtin_suite()
+        expected = chains.verify_chains(suite, grid), chains.sharpness_probes(grid)
+        monkeypatch.setattr(chains, "CHUNK_POINTS", 64)
+        monkeypatch.setattr(chains, "_worker_count", lambda chunks: min(chunks, 8))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = chains.verify_chains(suite, grid), chains.sharpness_probes(grid)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+
+    def test_rel_margins_match_the_masked_quotient_bitwise(self):
+        rng = np.random.default_rng(6)
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.0]
+        lhs = np.r_[rng.standard_normal(200), np.repeat(special, len(special))]
+        rhs = np.r_[rng.standard_normal(200), np.tile(special, len(special))]
+        denom = np.maximum(np.abs(lhs), np.abs(rhs))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = np.where(denom > 0.0, (rhs - lhs) / np.where(denom > 0.0, denom, 1.0), 0.0)
+        got = chains._rel_margins(lhs, rhs)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestGridSpec:

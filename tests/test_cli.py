@@ -5,8 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from meanlab import means
-from meanlab.chains import builtin_suite
+from meanlab import chains, means
+from meanlab.chains import GridSpec, builtin_suite, refined_ratios
 from meanlab.cli import main
 
 import oracles
@@ -23,6 +23,20 @@ def run(capsys):
 
 
 FAST_VERIFY = ("--grid-min", "0.1", "--grid-max", "1e8", "--points", "500")
+
+# a/b in [1 + 1e-12, 1.0001]: below a/b - 1 ~ 1e-8 many links' margins round
+# to the same value at several points, so chunks of 300 points split ties
+NEAR_DIAGONAL = ("--grid-min", "1e-12", "--grid-max", "1.0001", "--points", "2000")
+
+
+def chunked(monkeypatch, chunk_points, workers):
+    """Run the grid stages in chunks of chunk_points on up to workers threads."""
+    monkeypatch.setattr(chains, "CHUNK_POINTS", chunk_points)
+    monkeypatch.setattr(chains, "_worker_count", lambda chunks: min(chunks, workers))
+
+
+def chunk_sizes(points, chunk_points):
+    return [min(chunk_points, points - start) for start in range(0, points, chunk_points)]
 
 
 class TestEval:
@@ -133,13 +147,14 @@ class TestDeterminism:
         assert out1 == out2
 
     def test_thread_count_does_not_change_bytes(self, run, monkeypatch):
-        monkeypatch.setenv("MEANLAB_THREADS", "1")
-        _, serial, _ = run("verify", *FAST_VERIFY)
-        monkeypatch.setenv("MEANLAB_THREADS", "0")
-        _, auto, _ = run("verify", *FAST_VERIFY)
-        monkeypatch.setenv("MEANLAB_THREADS", "4")
-        _, four, _ = run("verify", *FAST_VERIFY)
-        assert serial == auto == four
+        for command in ("verify", "conjecture"):
+            outputs = []
+            for chunk_points, workers in ((1 << 16, 1), (300, 1), (300, 4)):
+                chunked(monkeypatch, chunk_points, workers)
+                outputs.append(run(command, *NEAR_DIAGONAL))
+            one_chunk, serial, threaded = outputs
+            assert len(one_chunk[1]) > 400
+            assert one_chunk == serial == threaded, command
 
 
 class TestSharedGridContext:
@@ -169,6 +184,55 @@ class TestSharedGridContext:
         assert calls and max(calls.values()) == 1, calls.most_common(3)
         nested_texts = [t for c in builtin_suite() for t in c.member_texts if "L(X, A)" in t]
         assert nested == Counter({("L", 2000): len(nested_texts)})
+
+    def test_each_mean_computed_once_per_chunk(self, monkeypatch, tmp_path):
+        # 2000 chain-stage points and 2199 refined points, in chunks of 512:
+        # every kernel call sees one chunk, and each chunk's context computes
+        # a mean once however many chains use it (one worker: the counters
+        # are not locked)
+        chunked(monkeypatch, 512, 1)
+        calls = Counter()
+        sizes = []
+        original = means.mean_kernel
+
+        def counting_kernel(kind):
+            kernel = original(kind)
+
+            def counted(a, b):
+                size = np.broadcast(np.asarray(a), np.asarray(b)).size
+                sizes.append(size)
+                if not np.ndim(b):  # a mean of the grid's pairs, not of subexpressions
+                    calls[kind.label(), size, float(np.ravel(a)[0])] += 1
+                return kernel(a, b)
+
+            return counted
+
+        monkeypatch.setattr(means, "mean_kernel", counting_kernel)
+        out = tmp_path / "report.json"
+        rc = main(["verify", "--grid-min", "0.1", "--points", "2000", "--out", str(out)])
+        assert rc == 0
+        assert max(sizes) <= 512
+        assert max(calls.values()) == 1, calls.most_common(3)
+        refined = refined_ratios(GridSpec(r_min=0.1, n=2000)).size
+        g_sizes = sorted(size for kind, size, _ in calls if kind == "G")
+        assert g_sizes == sorted(chunk_sizes(2000, 512) + chunk_sizes(refined, 512))
+
+    @pytest.mark.parametrize("chunk_points, pools", [(1 << 16, 0), (512, 2)])
+    def test_thread_pool_only_for_several_chunks(self, monkeypatch, tmp_path, chunk_points, pools):
+        import concurrent.futures
+
+        created = []
+
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+        chunked(monkeypatch, chunk_points, 4)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--grid-min", "0.1", "--points", "2000", "--out", str(out)]) == 0
+        assert len(created) == pools  # one each for the chain and the probe stage
 
 
 class TestEmit:
