@@ -29,7 +29,7 @@ from .errors import (
     EvalError,
     NonMonotonePredicateError,
 )
-from .expressions import GridContext, MeanExpr, evaluate, parse_expr
+from .expressions import GridContext, MeanExpr, parse_expr
 from .means import power_mean
 
 DEFAULT_MARGIN_GUARD = 1e-13
@@ -146,9 +146,16 @@ class ChainReport:
 
 
 def _rel_margins(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    denom = np.maximum(np.abs(lhs), np.abs(rhs))
+    """(rhs - lhs)/max(|lhs|, |rhs|), and 0 where that denominator is 0 or NaN."""
+    denom = np.abs(lhs)
+    np.maximum(denom, np.abs(rhs), out=denom)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.divide(rhs - lhs, denom, out=np.zeros_like(denom), where=denom > 0.0)
+        margins = rhs - lhs
+        np.divide(margins, denom, out=margins)
+    positive = denom > 0.0
+    if not positive.all():
+        margins[~positive] = 0.0
+    return margins
 
 
 def scan_links(members, ctx: GridContext):
@@ -697,15 +704,16 @@ def bracket_best_exponent(
     grid = grid or GridSpec()
     r = refined_ratios(grid)
     a = r * grid.b
-    tv = np.asarray(evaluate(expr, a, grid.b))
+    ctx = GridContext(a, grid.b)
+    tv = np.asarray(ctx.evaluate(expr))
     if np.any(~(tv > 0.0)):
         raise DomainError("target must evaluate positive on the grid")
 
     def holds(s: float) -> bool:
-        m = np.asarray(power_mean(a, grid.b, s))
-        diff = (tv - m) if side == "lower" else (m - tv)
-        scale = np.maximum(np.abs(tv), np.abs(m))
-        return float(np.min(diff / scale)) > -margin_guard
+        # every order reuses the grid's validated pair and its log ratio
+        m = np.asarray(power_mean(a, grid.b, s, pair=ctx.pair))
+        margins = _rel_margins(m, tv) if side == "lower" else _rel_margins(tv, m)
+        return float(np.min(margins)) > -margin_guard
 
     lo_lim, hi_lim = search_range
     steps = [float(s) for s in np.arange(math.floor(lo_lim), math.ceil(hi_lim) + 1)]

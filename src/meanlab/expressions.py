@@ -237,33 +237,37 @@ class GridContext:
     """One grid of pairs with a cache of mean values and relative offsets.
 
     Every expression evaluated on the same context shares the cache, so each
-    mean kernel runs once per grid however many expressions use it.  Means
-    applied to subexpressions (``L(X, A)``) are not cached.
+    mean kernel runs once per grid however many expressions use it, and all
+    of them read one validated :class:`means.Pair`.  Means applied to
+    subexpressions (``L(X, A)``) are not cached and prepare their own pair.
     """
 
     def __init__(self, a, b):
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
+        self._pair = None
         self._mean_cache: dict[MeanKind, np.ndarray] = {}
         self._rel_cache: dict[MeanKind, np.ndarray] = {}
-        self._arith = None
 
-    def arith(self):
-        if self._arith is None:
-            self._arith = 0.5 * (self.a + self.b)
-        return self._arith
+    @property
+    def pair(self) -> means.Pair:
+        """The grid's pairs, validated and canonicalized once for every
+        kernel (on first use, so a grid that no mean reads is not checked)."""
+        if self._pair is None:
+            self._pair = means.Pair(self.a, self.b)
+        return self._pair
 
     def mean(self, kind: MeanKind):
         got = self._mean_cache.get(kind)
         if got is None:
-            got = np.asarray(means.mean_kernel(kind)(self.a, self.b))
+            got = np.asarray(means.mean_kernel(kind)(self.a, self.b, pair=self.pair))
             self._mean_cache[kind] = got
         return got
 
     def rel(self, kind: MeanKind):
         got = self._rel_cache.get(kind)
         if got is None:
-            got = np.asarray(means.rel_to_arithmetic(kind, self.a, self.b))
+            got = np.asarray(means.rel_to_arithmetic(kind, self.a, self.b, pair=self.pair))
             self._rel_cache[kind] = got
         return got
 
@@ -338,7 +342,8 @@ def _eval(node: MeanExpr, ctx: GridContext):
     if isinstance(node, BinOp):
         if node.op == "-":
             if isinstance(node.lhs, MeanSymbol) and isinstance(node.rhs, MeanSymbol):
-                return ctx.arith() * (ctx.rel(node.lhs.kind) - ctx.rel(node.rhs.kind))
+                a_mean = ctx.mean(means.PLAIN_KINDS["A"])
+                return a_mean * (ctx.rel(node.lhs.kind) - ctx.rel(node.rhs.kind))
             ratio = _mean_ratio(node.rhs)
             if _is_one(node.lhs) and ratio is not None:
                 r1, r2 = ctx.rel(ratio[0]), ctx.rel(ratio[1])

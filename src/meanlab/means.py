@@ -7,7 +7,9 @@ Two layers live here:
 * a typed scalar facade (:class:`PositivePair`, :class:`MeanKind`,
   :func:`eval_mean`, :func:`eval_all`, :func:`param_point`).
 
-Every kernel canonicalizes to hi >= lo first, so symmetry is exact.  With
+A kernel's pairs are validated and canonicalized to hi >= lo once, in a
+:class:`Pair`, so symmetry is exact.  Kernels called on the same pairs can
+share one through ``pair=``, and with it the quantities they all read.  With
 t = (hi - lo)/(hi + lo) the trigonometric parametrization is x = arcsin(t),
 the hyperbolic one y = artanh(t) = log(hi/lo)/2, and
 
@@ -16,13 +18,15 @@ the hyperbolic one y = artanh(t) = log(hi/lo)/2, and
     log(I/G) = A/L - 1
 
 Direct closed forms are used where they are stable; below ``SERIES_T_THRESHOLD``
-the removable-singularity routes switch to truncated series.
+the removable-singularity routes switch to truncated series.  A series or
+overflow branch is evaluated only on the points that take it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,114 +44,163 @@ POWER_LIMIT_THRESHOLD = 1e-8
 _QUIET = dict(divide="ignore", invalid="ignore", over="ignore", under="ignore")
 
 
-def _split(a, b):
-    """Validate and canonicalize; returns (hi, lo, scalar_input)."""
-    aa = np.asarray(a, dtype=float)
-    bb = np.asarray(b, dtype=float)
-    scalar = aa.ndim == 0 and bb.ndim == 0
-    for arr in (aa, bb):
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+def _piecewise(mask, out, fn, *args):
+    """out[mask] = fn(*(arg[mask] for arg in args)), calling fn on the masked
+    points only (and not at all if there are none); scalar args pass whole."""
+    idx = np.flatnonzero(mask)
+    if idx.size:
+        with np.errstate(**_QUIET):
+            np.put(out, idx, fn(*(arg.take(idx) if np.ndim(arg) else arg for arg in args)))
+
+
+class Pair:
+    """Pairs (a, b), validated and canonicalized to hi >= lo once, with the
+    quantities that several kernels read, each computed on first use.
+
+    A kernel given ``pair=`` reads these instead of validating its (a, b)
+    again; the pair must be ``Pair(a, b)`` of the same arguments.  Scalar
+    pairs are held as one-element arrays, so branches can be written into
+    the kernels' outputs."""
+
+    def __init__(self, a, b):
+        aa = np.asarray(a, dtype=float)
+        bb = np.asarray(b, dtype=float)
+        self.scalar = aa.ndim == 0 and bb.ndim == 0
+        if self.scalar:  # float comparisons: numpy reductions cost microseconds
+            valid = 0.0 < float(aa) < math.inf and 0.0 < float(bb) < math.inf
+            aa, bb = aa.reshape(1), bb.reshape(1)
+        else:
+            valid = all(np.isfinite(arr).all() and not (arr <= 0.0).any() for arr in (aa, bb))
+        if not valid:
             raise DomainError("means are defined for positive finite arguments only")
-    return np.maximum(aa, bb), np.minimum(aa, bb), scalar
+        self.hi = np.maximum(aa, bb)
+        self.lo = np.minimum(aa, bb)
+
+    @cached_property
+    def eq(self):
+        """The points with hi == lo, where every mean is hi."""
+        return self.hi == self.lo
+
+    @cached_property
+    def t(self):
+        """t = (hi - lo)/(hi + lo), in [0, 1]."""
+        return (self.hi - self.lo) / (self.hi + self.lo)
+
+    @cached_property
+    def g(self):
+        """sqrt(hi)*sqrt(lo): the geometric mean, except where hi == lo."""
+        return np.sqrt(self.hi) * np.sqrt(self.lo)
+
+    @cached_property
+    def y(self):
+        """y = artanh(t) = log(hi/lo)/2 at full relative accuracy for any
+        ratio; unlike arctanh(t) it stays accurate when t is within a few
+        ulp of 1."""
+        hi, lo = self.hi, self.lo
+        with np.errstate(**_QUIET):
+            u = (hi - lo) / lo
+            log_ratio = np.log1p(u)
+        # past u = 1e15 log1p gains nothing, and u itself may overflow
+        _piecewise(u >= 1e15, log_ratio, lambda hi, lo: np.log(hi) - np.log(lo), hi, lo)
+        return 0.5 * log_ratio
+
+    @cached_property
+    def x(self):
+        """x = arcsin(t), accurate up to t -> 1.
+
+        Plain arcsin amplifies the rounding of t by 1/sqrt(1-t^2); past 0.9
+        the half-angle form pi/2 - 2 arcsin(sqrt(lo/(hi+lo))) uses the
+        exactly computable 1 - t instead."""
+        hi, lo = self.hi, self.lo
+        # on grids to large ratios most points are past 0.9, and computing
+        # the half-angle form everywhere beats gathering them
+        with np.errstate(**_QUIET):
+            out = 0.5 * math.pi - 2.0 * np.arcsin(np.sqrt(lo / (hi + lo)))
+        _piecewise(self.t <= 0.9, out, np.arcsin, self.t)
+        return out
+
+
+def _pair(a, b, pair):
+    return Pair(a, b) if pair is None else pair
+
+
+def _on_diagonal(pair, out):
+    """out with hi written where hi == lo."""
+    np.copyto(out, pair.hi, where=pair.eq)
+    return out
 
 
 def _ret(out, scalar):
-    return float(out) if scalar else out
+    return float(out[0]) if scalar else out
 
 
-def _half_ratio(hi, lo):
-    return (hi - lo) / (hi + lo)
+def arithmetic(a, b, *, pair=None):
+    pair = _pair(a, b, pair)
+    return _ret(0.5 * (pair.hi + pair.lo), pair.scalar)
 
 
-def arithmetic(a, b):
-    hi, lo, s = _split(a, b)
-    return _ret(0.5 * (hi + lo), s)
+def geometric(a, b, *, pair=None):
+    pair = _pair(a, b, pair)
+    return _ret(np.where(pair.eq, pair.hi, pair.g), pair.scalar)
 
 
-def geometric(a, b):
-    hi, lo, s = _split(a, b)
-    return _ret(np.where(hi == lo, hi, np.sqrt(hi) * np.sqrt(lo)), s)
+def harmonic(a, b, *, pair=None):
+    pair = _pair(a, b, pair)
+    return _ret(2.0 * (pair.lo / (pair.hi + pair.lo)) * pair.hi, pair.scalar)
 
 
-def harmonic(a, b):
-    hi, lo, s = _split(a, b)
-    return _ret(2.0 * (lo / (hi + lo)) * hi, s)
+def _small(pair):
+    return pair.t < SERIES_T_THRESHOLD
 
 
-def _log_ratio(hi, lo):
-    """log(hi/lo) at full relative accuracy for any ratio."""
-    u = (hi - lo) / lo
-    with np.errstate(**_QUIET):
-        return np.where(u < 1e15, np.log1p(u), np.log(hi) - np.log(lo))
-
-
-def _half_log_ratio(hi, lo):
-    """y = log(hi/lo)/2 = artanh(t); unlike arctanh(t) this stays
-    relatively accurate when t is within a few ulp of 1."""
-    return 0.5 * _log_ratio(hi, lo)
-
-
-def _arcsin_t(hi, lo, t):
-    """x = arcsin(t) for t = (hi-lo)/(hi+lo), accurate up to t -> 1.
-
-    Plain arcsin amplifies the rounding of t by 1/sqrt(1-t^2); past 0.9 the
-    half-angle form pi/2 - 2 arcsin(sqrt(lo/(hi+lo))) uses the exactly
-    computable 1 - t instead.
-    """
-    comp = 2.0 * np.arcsin(np.sqrt(lo / (hi + lo)))
-    return np.where(t > 0.9, 0.5 * math.pi - comp, np.arcsin(np.minimum(t, 0.9)))
-
-
-def logarithmic(a, b):
+def logarithmic(a, b, *, pair=None):
     """L = (a - b)/log(a/b); series route G sinh(y)/y below the threshold."""
-    hi, lo, s = _split(a, b)
-    t = _half_ratio(hi, lo)
-    small = t < SERIES_T_THRESHOLD
+    pair = _pair(a, b, pair)
     with np.errstate(**_QUIET):
-        direct = (hi - lo) / _log_ratio(hi, lo)
-    y = np.where(small, _half_log_ratio(hi, lo), 0.0)
-    fallback = np.sqrt(hi) * np.sqrt(lo) * series.sinh_over_y(y, terms=6)
-    out = np.where(small, fallback, direct)
-    return _ret(np.where(hi == lo, hi, out), s)
+        out = (pair.hi - pair.lo) / (2.0 * pair.y)
+    _piecewise(_small(pair), out, lambda g, y: g * series.sinh_over_y(y, terms=6), pair.g, pair.y)
+    return _ret(_on_diagonal(pair, out), pair.scalar)
 
 
 def logarithmic_direct(a, b):
     """Pure closed-form route, no series branch (a == b still returns a)."""
-    hi, lo, s = _split(a, b)
+    pair = Pair(a, b)
     with np.errstate(**_QUIET):
-        out = np.where(hi == lo, hi, (hi - lo) / _log_ratio(hi, lo))
-    return _ret(out, s)
+        out = (pair.hi - pair.lo) / (2.0 * pair.y)
+    return _ret(_on_diagonal(pair, out), pair.scalar)
 
 
 def logarithmic_param(a, b):
     """Hyperbolic route G sinh(y)/y, series below the threshold."""
-    hi, lo, s = _split(a, b)
-    t = _half_ratio(hi, lo)
-    y = _half_log_ratio(hi, lo)
-    small = t < SERIES_T_THRESHOLD
+    pair = Pair(a, b)
     with np.errstate(**_QUIET):
-        big = np.sinh(np.where(small, 1.0, y)) / np.where(small, 1.0, y)
-    ratio = np.where(small, series.sinh_over_y(np.where(small, y, 0.0), terms=6), big)
-    return _ret(np.sqrt(hi) * np.sqrt(lo) * ratio, s)
+        ratio = np.sinh(pair.y) / pair.y
+    _piecewise(_small(pair), ratio, lambda y: series.sinh_over_y(y, terms=6), pair.y)
+    return _ret(pair.g * ratio, pair.scalar)
 
 
-def identric(a, b):
+def identric(a, b, *, pair=None):
     """I = (1/e)(a^a/b^b)^(1/(a-b)), via the cancellation-free u-form.
 
     With u = (a-b)/b the exponent (a log a - b log b)/(a - b) - 1 rewrites
     exactly to log b + (1+u) log1p(u)/u - 1, which is stable for all u > 0.
     """
-    hi, lo, s = _split(a, b)
-    u = (hi - lo) / lo
-    safe = np.where(u == 0.0, 1.0, u)
+    pair = _pair(a, b, pair)
+    hi, lo = pair.hi, pair.lo
     with np.errstate(**_QUIET):
-        q = (1.0 + safe) * np.log1p(safe) / safe - 1.0
-        moderate = lo * np.exp(q)
-        # for astronomically large ratios (1+u) overflows; the plain form has
-        # no cancellation left there
-        plain = np.exp((hi * np.log(hi) - lo * np.log(lo)) / (hi - lo) - 1.0)
-        out = np.where(u == 0.0, hi, np.where(u < 1e15, moderate, plain))
-    return _ret(out, s)
+        u = (hi - lo) / lo
+        # log1p(u) = 2y exactly while u < 1e15
+        out = lo * np.exp((1.0 + u) * (2.0 * pair.y) / u - 1.0)
+    # for astronomically large ratios (1+u) overflows; the plain form has
+    # no cancellation left there
+    _piecewise(
+        u >= 1e15,
+        out,
+        lambda hi, lo: np.exp((hi * np.log(hi) - lo * np.log(lo)) / (hi - lo) - 1.0),
+        hi,
+        lo,
+    )
+    return _ret(_on_diagonal(pair, out), pair.scalar)
 
 
 identric_direct = identric
@@ -155,56 +208,51 @@ identric_direct = identric
 
 def identric_param(a, b):
     """Identity route log(I/G) = A/L - 1."""
-    hi, lo, s = _split(a, b)
-    g = np.sqrt(hi) * np.sqrt(lo)
-    ratio = arithmetic(hi, lo) / logarithmic(hi, lo)
-    return _ret(g * np.exp(ratio - 1.0), s)
+    pair = Pair(a, b)
+    ratio = arithmetic(a, b, pair=pair) / logarithmic(a, b, pair=pair)
+    return _ret(pair.g * np.exp(ratio - 1.0), pair.scalar)
 
 
-def seiffert(a, b):
+def seiffert(a, b, *, pair=None):
     """P = (a - b)/(2 arcsin t); series route below the threshold."""
-    hi, lo, s = _split(a, b)
-    t = _half_ratio(hi, lo)
-    small = t < SERIES_T_THRESHOLD
+    pair = _pair(a, b, pair)
     with np.errstate(**_QUIET):
-        direct = (hi - lo) / (2.0 * _arcsin_t(hi, lo, t))
-    x = np.arcsin(np.where(small, t, 0.0))
-    fallback = 0.5 * (hi + lo) / (1.0 + series.xoversin_minus_one(x, terms=6))
-    return _ret(np.where(small, fallback, direct), s)
+        out = (pair.hi - pair.lo) / (2.0 * pair.x)
+    _piecewise(
+        _small(pair),
+        out,
+        lambda hi, lo, x: 0.5 * (hi + lo) / (1.0 + series.xoversin_minus_one(x, terms=6)),
+        pair.hi,
+        pair.lo,
+        pair.x,
+    )
+    return _ret(out, pair.scalar)
 
 
 def seiffert_direct(a, b):
-    hi, lo, s = _split(a, b)
-    t = _half_ratio(hi, lo)
+    pair = Pair(a, b)
     with np.errstate(**_QUIET):
-        out = np.where(t == 0.0, hi, (hi - lo) / (2.0 * _arcsin_t(hi, lo, t)))
-    return _ret(out, s)
+        out = (pair.hi - pair.lo) / (2.0 * pair.x)
+    return _ret(_on_diagonal(pair, out), pair.scalar)
 
 
 def seiffert_param(a, b):
     """Series route P = A / (x/sin x) on the whole domain."""
-    hi, lo, s = _split(a, b)
-    t = _half_ratio(hi, lo)
-    x = _arcsin_t(hi, lo, t)
-    return _ret(0.5 * (hi + lo) / (1.0 + series.xoversin_minus_one(x)), s)
+    pair = Pair(a, b)
+    return _ret(0.5 * (pair.hi + pair.lo) / (1.0 + series.xoversin_minus_one(pair.x)), pair.scalar)
 
 
-def _xcotx_minus_one_hybrid(hi, lo, t, small_mask):
-    """x cot x - 1 at x = arcsin(t): series under the mask, else
-    arcsin(t) * (G/A) / t, which keeps cos(x) = G/A exact as t -> 1."""
-    g_over_a = 2.0 * np.sqrt(hi) * np.sqrt(lo) / (hi + lo)
+def x_mean(a, b, *, pair=None):
+    """X = A e^(x cot x - 1); exponent by series below the threshold.
+
+    Above it x cot x - 1 = arcsin(t) (G/A) / t - 1, which keeps cos(x) = G/A
+    exact as t -> 1."""
+    pair = _pair(a, b, pair)
+    a_sum = pair.hi + pair.lo
     with np.errstate(**_QUIET):
-        direct = _arcsin_t(hi, lo, t) * g_over_a / t - 1.0
-    ser = series.xcotx_minus_one(np.arcsin(np.where(small_mask, t, 0.0)), terms=6)
-    return np.where(small_mask, ser, direct)
-
-
-def x_mean(a, b):
-    """X = A e^(x cot x - 1); exponent by series below the threshold."""
-    hi, lo, s = _split(a, b)
-    t = _half_ratio(hi, lo)
-    w = _xcotx_minus_one_hybrid(hi, lo, t, t < SERIES_T_THRESHOLD)
-    return _ret(0.5 * (hi + lo) * np.exp(w), s)
+        w = pair.x * (2.0 * pair.g / a_sum) / pair.t - 1.0
+    _piecewise(_small(pair), w, lambda x: series.xcotx_minus_one(x, terms=6), pair.x)
+    return _ret(0.5 * a_sum * np.exp(w), pair.scalar)
 
 
 x_mean_param = x_mean
@@ -212,79 +260,70 @@ x_mean_param = x_mean
 
 def x_mean_direct(a, b):
     """Defining route X = A e^(G/P - 1)."""
-    hi, lo, s = _split(a, b)
-    g = np.sqrt(hi) * np.sqrt(lo)
-    p = seiffert(hi, lo)
-    return _ret(0.5 * (hi + lo) * np.exp(g / p - 1.0), s)
+    pair = Pair(a, b)
+    p = seiffert(a, b, pair=pair)
+    return _ret(0.5 * (pair.hi + pair.lo) * np.exp(pair.g / p - 1.0), pair.scalar)
 
 
-def y_mean(a, b):
+def y_mean(a, b, *, pair=None):
     """Y = G e^(tanh(y)/y - 1); exponent by series below the threshold."""
-    hi, lo, s = _split(a, b)
-    t = _half_ratio(hi, lo)
-    y = _half_log_ratio(hi, lo)
-    small = t < SERIES_T_THRESHOLD
+    pair = _pair(a, b, pair)
     with np.errstate(**_QUIET):
-        direct = np.tanh(y) / y - 1.0
-    ser = series.tanh_over_y_minus_one(np.where(small, y, 0.0), terms=6)
-    w = np.where(small, ser, direct)
-    out = np.sqrt(hi) * np.sqrt(lo) * np.exp(w)
-    return _ret(np.where(hi == lo, hi, out), s)
+        w = np.tanh(pair.y) / pair.y - 1.0
+    _piecewise(_small(pair), w, lambda y: series.tanh_over_y_minus_one(y, terms=6), pair.y)
+    return _ret(_on_diagonal(pair, pair.g * np.exp(w)), pair.scalar)
 
 
 def y_mean_direct(a, b):
     """Defining route Y = G e^(L/A - 1)."""
-    hi, lo, s = _split(a, b)
-    g = np.sqrt(hi) * np.sqrt(lo)
-    ratio = logarithmic(hi, lo) / arithmetic(hi, lo)
-    return _ret(g * np.exp(ratio - 1.0), s)
+    pair = Pair(a, b)
+    ratio = logarithmic(a, b, pair=pair) / arithmetic(a, b, pair=pair)
+    return _ret(pair.g * np.exp(ratio - 1.0), pair.scalar)
 
 
-def _log_mean_over_geometric(hi, lo, p):
-    """log(M_p/G) = log(cosh(p*y))/p with the p -> 0 limit p*y^2/2."""
-    y = 0.5 * _log_ratio(hi, lo)
-    p_arr = np.asarray(p, dtype=float)
-    tiny = np.abs(p_arr) < POWER_LIMIT_THRESHOLD
-    psafe = np.where(tiny, 1.0, p_arr)
-    v = psafe * y
-    huge = np.abs(v) > 700.0  # sinh overflow; log(cosh v) ~ |v| - log 2
-    vsafe = np.where(huge, 1.0, v)
+#: (weight, asymptote, p -> 0 divisor) of the power-type means; see
+#: _power_exponent.
+_POWER_TYPE = {"Mp": (2.0, math.log(2.0), 2.0), "Hp": (4.0 / 3.0, math.log(3.0), 3.0)}
+
+
+def _power_exponent(pair, p, weight, asymptote, divisor):
+    """log(M/G) = log1p(weight sinh(p y/2)^2)/p of a power-type mean: weight
+    2 gives M_p, 4/3 the Heronian H_p.  Past |p y| = 700, where sinh
+    overflows, it is (|p y| - asymptote)/p; as p -> 0 it is p y^2/divisor."""
+    y = pair.y
+    p = np.asarray(p, dtype=float)
+    if p.ndim:
+        p, y = np.broadcast_arrays(p, y)
+    elif abs(p) < POWER_LIMIT_THRESHOLD:
+        return p * y * y / divisor
+    v = p * y
     with np.errstate(**_QUIET):
-        general = np.log1p(2.0 * np.sinh(0.5 * vsafe) ** 2) / psafe
-        asym = (np.abs(v) - math.log(2.0)) / psafe
-    return np.where(tiny, p_arr * y * y / 2.0, np.where(huge, asym, general))
+        out = np.log1p(weight * np.sinh(0.5 * v) ** 2) / p
+    _piecewise(np.abs(v) > 700.0, out, lambda v, p: (np.abs(v) - asymptote) / p, v, p)
+    if p.ndim:
+        _piecewise(
+            np.abs(p) < POWER_LIMIT_THRESHOLD, out, lambda p, y: p * y * y / divisor, p, y
+        )
+    return out
 
 
-def power_mean(a, b, p):
-    """M_p = ((a^p + b^p)/2)^(1/p), with M_0 = G and a stable p ~ 0 limit."""
-    hi, lo, s = _split(a, b)
+def _power_type_mean(tag, a, b, p, pair):
+    pair = _pair(a, b, pair)
     if not np.all(np.isfinite(np.asarray(p, dtype=float))):
-        raise DomainError("power mean exponent must be finite")
-    g = np.sqrt(hi) * np.sqrt(lo)
-    out = g * np.exp(_log_mean_over_geometric(hi, lo, p))
-    scalar = s and np.asarray(p).ndim == 0
-    return _ret(np.where(hi == lo, hi, out), scalar)
+        name = "power mean" if tag == "Mp" else "Heronian"
+        raise DomainError(f"{name} exponent must be finite")
+    out = pair.g * np.exp(_power_exponent(pair, p, *_POWER_TYPE[tag]))
+    return _ret(_on_diagonal(pair, out), pair.scalar and np.ndim(p) == 0)
 
 
-def heronian_mean(a, b, p):
+def power_mean(a, b, p, *, pair=None):
+    """M_p = ((a^p + b^p)/2)^(1/p), with M_0 = G and a stable p ~ 0 limit."""
+    return _power_type_mean("Mp", a, b, p, pair)
+
+
+def heronian_mean(a, b, p, *, pair=None):
     """H_p = ((a^p + (ab)^(p/2) + b^p)/3)^(1/p), H_0 = G."""
-    hi, lo, s = _split(a, b)
-    p_arr = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(p_arr)):
-        raise DomainError("Heronian exponent must be finite")
-    y = 0.5 * _log_ratio(hi, lo)
-    g = np.sqrt(hi) * np.sqrt(lo)
-    tiny = np.abs(p_arr) < POWER_LIMIT_THRESHOLD
-    psafe = np.where(tiny, 1.0, p_arr)
-    v = psafe * y
-    huge = np.abs(v) > 700.0  # log((2 cosh v + 1)/3) ~ |v| - log 3
-    vsafe = np.where(huge, 1.0, v)
-    with np.errstate(**_QUIET):
-        general = np.log1p((4.0 / 3.0) * np.sinh(0.5 * vsafe) ** 2) / psafe
-        asym = (np.abs(v) - math.log(3.0)) / psafe
-    expo = np.where(tiny, p_arr * y * y / 3.0, np.where(huge, asym, general))
-    scalar = s and p_arr.ndim == 0
-    return _ret(np.where(hi == lo, hi, g * np.exp(expo)), scalar)
+    return _power_type_mean("Hp", a, b, p, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +332,8 @@ def heronian_mean(a, b, p):
 # vanishing mean differences like (G - Y)/(A - L) and log(X/A).
 # ---------------------------------------------------------------------------
 
-#: x (or y) above which direct transcendentals are as accurate as series.
+#: y below which the relative kernels of L, Y and I use their series; above
+#: it the direct transcendentals are as accurate.
 _REL_DIRECT_CUTOFF = 0.1
 
 
@@ -301,73 +341,51 @@ def _rel_geometric(t):
     return -(t * t) / (1.0 + np.sqrt(1.0 - t * t))
 
 
-def _piecewise_small(arg, small_fn, big_fn, cutoff=_REL_DIRECT_CUTOFF):
-    mask = np.abs(arg) < cutoff
-    small = small_fn(np.where(mask, arg, 0.0))
-    with np.errstate(**_QUIET):
-        big = big_fn(np.where(mask, cutoff, arg))
-    return np.where(mask, small, big)
-
-
 def _rel_logarithmic(y):
-    return _piecewise_small(
-        y,
-        lambda v: series.tanh_over_y_minus_one(v, terms=10),
-        lambda v: np.tanh(v) / v - 1.0,
+    with np.errstate(**_QUIET):
+        out = np.tanh(y) / y - 1.0
+    _piecewise(
+        y < _REL_DIRECT_CUTOFF, out, lambda v: series.tanh_over_y_minus_one(v, terms=10), y
     )
+    return out
 
 
 def _rel_identric_exponent(y):
     # A/L - 1 = y coth y - 1
-    return _piecewise_small(
-        y,
-        lambda v: series.ycothy_minus_one(v, terms=10),
-        lambda v: v / np.tanh(v) - 1.0,
-    )
+    with np.errstate(**_QUIET):
+        out = y / np.tanh(y) - 1.0
+    _piecewise(y < _REL_DIRECT_CUTOFF, out, lambda v: series.ycothy_minus_one(v, terms=10), y)
+    return out
 
 
-def rel_to_arithmetic(kind: "MeanKind", a, b):
+def rel_to_arithmetic(kind: "MeanKind", a, b, *, pair=None):
     """(M/A) - 1 elementwise, accurate in relative terms for every t."""
-    hi, lo, s = _split(a, b)
-    t = _half_ratio(hi, lo)
+    pair = _pair(a, b, pair)
     tag = kind.tag
     if tag == "A":
-        out = np.zeros_like(t)
+        out = np.zeros_like(pair.hi)
     elif tag == "G":
-        out = _rel_geometric(t)
+        out = _rel_geometric(pair.t)
     elif tag == "H":
-        out = -(t * t)
+        out = -(pair.t * pair.t)
     elif tag == "P":
-        sser = series.xoversin_minus_one(_arcsin_t(hi, lo, t))
+        sser = series.xoversin_minus_one(pair.x)
         out = -sser / (1.0 + sser)
     elif tag == "X":
-        out = np.expm1(series.xcotx_minus_one(_arcsin_t(hi, lo, t)))
+        out = np.expm1(series.xcotx_minus_one(pair.x))
     elif tag == "L":
-        out = _rel_logarithmic(_half_log_ratio(hi, lo))
-    elif tag == "Y":
-        rg = _rel_geometric(t)
-        e = np.expm1(_rel_logarithmic(_half_log_ratio(hi, lo)))
+        out = _rel_logarithmic(pair.y)
+    elif tag in ("Y", "I"):
+        rg = _rel_geometric(pair.t)
+        expo = _rel_logarithmic(pair.y) if tag == "Y" else _rel_identric_exponent(pair.y)
+        e = np.expm1(expo)
         out = rg + e + rg * e
-    elif tag == "I":
-        rg = _rel_geometric(t)
-        e = np.expm1(_rel_identric_exponent(_half_log_ratio(hi, lo)))
-        out = rg + e + rg * e
-    elif tag in ("Mp", "Hp"):
-        rg = _rel_geometric(t)
-        if tag == "Mp":
-            expo = _log_mean_over_geometric(hi, lo, kind.exponent)
-        else:
-            y = 0.5 * _log_ratio(hi, lo)
-            p = kind.exponent
-            if abs(p) < POWER_LIMIT_THRESHOLD:
-                expo = p * y * y / 3.0
-            else:
-                with np.errstate(**_QUIET):
-                    expo = np.log1p((4.0 / 3.0) * np.sinh(0.5 * p * y) ** 2) / p
-        out = np.expm1(np.log1p(rg) + expo)
+    elif tag in _POWER_TYPE:
+        expo = _power_exponent(pair, kind.exponent, *_POWER_TYPE[tag])
+        out = np.expm1(np.log1p(_rel_geometric(pair.t)) + expo)
     else:  # pragma: no cover
         raise DomainError(f"unknown mean kind {kind!r}")
-    return _ret(out, s)
+    return _ret(out, pair.scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +482,12 @@ _KERNELS = {
 
 
 def mean_kernel(kind: MeanKind):
-    """Two-argument array function implementing the kind."""
+    """Two-argument array function implementing the kind; it takes the
+    prepared ``Pair(a, b)`` as the keyword ``pair`` too."""
     if kind.tag == "Mp":
-        return lambda a, b: power_mean(a, b, kind.exponent)
+        return lambda a, b, *, pair=None: power_mean(a, b, kind.exponent, pair=pair)
     if kind.tag == "Hp":
-        return lambda a, b: heronian_mean(a, b, kind.exponent)
+        return lambda a, b, *, pair=None: heronian_mean(a, b, kind.exponent, pair=pair)
     return _KERNELS[kind.tag]
 
 
@@ -507,15 +526,16 @@ class MeanVector:
 def eval_all(pair: PositivePair) -> MeanVector:
     point = None if pair.a == pair.b else param_point(pair)
     a, b = pair.a, pair.b
+    shared = Pair(a, b)
     return MeanVector(
         pair=pair,
         point=point,
-        arithmetic=float(arithmetic(a, b)),
-        geometric=float(geometric(a, b)),
-        harmonic=float(harmonic(a, b)),
-        logarithmic=float(logarithmic(a, b)),
-        identric=float(identric(a, b)),
-        seiffert=float(seiffert(a, b)),
-        x_mean=float(x_mean(a, b)),
-        y_mean=float(y_mean(a, b)),
+        arithmetic=arithmetic(a, b, pair=shared),
+        geometric=geometric(a, b, pair=shared),
+        harmonic=harmonic(a, b, pair=shared),
+        logarithmic=logarithmic(a, b, pair=shared),
+        identric=identric(a, b, pair=shared),
+        seiffert=seiffert(a, b, pair=shared),
+        x_mean=x_mean(a, b, pair=shared),
+        y_mean=y_mean(a, b, pair=shared),
     )

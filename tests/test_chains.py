@@ -315,6 +315,21 @@ class TestBracketing:
         assert 0.5 - 1e-3 <= lo <= 0.5 + 1e-4
         assert lo < up <= oracles.K_EXPONENT + 1e-3
 
+    @pytest.mark.parametrize(
+        "target, lower, upper",
+        [
+            ("X", 0.33333301544189453, 0.4093780517578125),
+            ("P", 0.6055116653442383, 0.6666669845581055),
+            ("I", 0.6666660308837891, 0.6931476593017578),
+            ("(P+X)/2", 0.5, 0.5016279220581055),
+        ],
+    )
+    def test_frozen_exponents(self, target, lower, upper):
+        # each bisection step compares M_s with the target on the refined
+        # grid, so any change in a kernel's bits can move these
+        assert bracket_best_exponent(target, "lower", 1e-6) == lower
+        assert bracket_best_exponent(target, "upper", 1e-6) == upper
+
     def test_arithmetic_is_order_one(self):
         assert bracket_best_exponent("A", "lower", 1e-3) == pytest.approx(1.0, abs=2e-3)
         assert bracket_best_exponent("A", "upper", 1e-3) == pytest.approx(1.0, abs=2e-3)

@@ -163,6 +163,7 @@ class TestSharedGridContext:
         # so a mean kernel runs once per (kind, grid); the exception is a
         # mean applied to subexpressions, such as L(X, A), whose operands
         # are computed arrays rather than the grid's (a, b) with scalar b
+        builtin_suite()  # its sanity check's context is not part of the count
         calls = Counter()
         nested = Counter()
         original = means.mean_kernel
@@ -170,10 +171,10 @@ class TestSharedGridContext:
         def counting_kernel(kind):
             kernel = original(kind)
 
-            def counted(a, b):
+            def counted(a, b, **kwargs):
                 key = (kind.label(), np.broadcast(np.asarray(a), np.asarray(b)).size)
                 (nested if np.ndim(b) else calls)[key] += 1
-                return kernel(a, b)
+                return kernel(a, b, **kwargs)
 
             return counted
 
@@ -191,31 +192,45 @@ class TestSharedGridContext:
         # a mean once however many chains use it (one worker: the counters
         # are not locked)
         chunked(monkeypatch, 512, 1)
+        builtin_suite()  # its sanity check's context is not part of the count
         calls = Counter()
         sizes = []
+        pairs = []
         original = means.mean_kernel
 
         def counting_kernel(kind):
             kernel = original(kind)
 
-            def counted(a, b):
+            def counted(a, b, **kwargs):
                 size = np.broadcast(np.asarray(a), np.asarray(b)).size
                 sizes.append(size)
                 if not np.ndim(b):  # a mean of the grid's pairs, not of subexpressions
                     calls[kind.label(), size, float(np.ravel(a)[0])] += 1
-                return kernel(a, b)
+                return kernel(a, b, **kwargs)
 
             return counted
 
+        class CountingPair(means.Pair):
+            def __init__(self, a, b):
+                pairs.append(np.ndim(b))
+                super().__init__(a, b)
+
         monkeypatch.setattr(means, "mean_kernel", counting_kernel)
+        monkeypatch.setattr(means, "Pair", CountingPair)
         out = tmp_path / "report.json"
         rc = main(["verify", "--grid-min", "0.1", "--points", "2000", "--out", str(out)])
         assert rc == 0
         assert max(sizes) <= 512
         assert max(calls.values()) == 1, calls.most_common(3)
         refined = refined_ratios(GridSpec(r_min=0.1, n=2000)).size
+        contexts = chunk_sizes(2000, 512) + chunk_sizes(refined, 512)
         g_sizes = sorted(size for kind, size, _ in calls if kind == "G")
-        assert g_sizes == sorted(chunk_sizes(2000, 512) + chunk_sizes(refined, 512))
+        assert g_sizes == sorted(contexts)
+        # one validated pair per chunk context, shared by all its kernels, and
+        # one per nested L(X, A) call, whose operands are computed arrays
+        nested_texts = [t for c in builtin_suite() for t in c.member_texts if "L(X, A)" in t]
+        nested = len(nested_texts) * len(chunk_sizes(2000, 512))
+        assert Counter(pairs) == Counter({0: len(contexts), 1: nested})
 
     @pytest.mark.parametrize("chunk_points, pools", [(1 << 16, 0), (512, 2)])
     def test_thread_pool_only_for_several_chunks(self, monkeypatch, tmp_path, chunk_points, pools):

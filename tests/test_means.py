@@ -311,3 +311,82 @@ class TestTypedFacade:
         v = M.eval_all(PositivePair(5.5, 5.5))
         assert v.point is None
         assert set(v.as_dict().values()) == {5.5}
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestBranchCompaction:
+    # each kernel evaluates a branch only on the points that take it, so the
+    # grid straddles every branch threshold: t = 1e-4 (series in L, P, X, Y),
+    # t = 0.9 (half-angle arcsin), u = 1e15 (log ratio and I), y = 0.1
+    # (series in rel L, Y, I) and |p y| = 700 (power-type asymptote, reached
+    # by the orders +-3 from a/b ~ 1e203), plus a == b
+    KINDS = (
+        [MeanKind(tag) for tag in "AGHLIPXY"]
+        + [MeanKind.power(p) for p in (-3.0, -1.0, 0.0, 1e-9, 1.0 / 3.0, 0.5, 3.0)]
+        + [MeanKind.heronian(p) for p in (-3.0, 0.0, 0.5, 3.0)]
+    )
+
+    @staticmethod
+    def _grid():
+        ratios = np.concatenate(
+            [
+                [1.0, 1.0 + 2.0**-52, 1.0002, 1.00020002, 1.0002001],
+                [1.2214, 1.2215, 19.0, 19.000001],
+                [1e15, 1e15 + 1.0, 1.0000001e15, 1e203, 1e204, 1e300, 1.0],
+                np.geomspace(1.0 + 1e-12, 1e300, 200),
+            ]
+        )
+        rng = np.random.default_rng(7)
+        b = np.exp(rng.uniform(-5.0, 5.0, ratios.size))
+        a = ratios * b
+        swap = rng.random(ratios.size) < 0.5
+        return np.where(swap, b, a), np.where(swap, a, b)
+
+    def test_grid_straddles_every_threshold(self):
+        pair = M.Pair(*self._grid())
+        u = (pair.hi - pair.lo) / pair.lo
+        y3 = np.abs(3.0 * pair.y)
+        for mask in (pair.eq, pair.t < 1e-4, pair.t > 0.9, u >= 1e15, pair.y < 0.1, y3 > 700.0):
+            assert 0 < int(np.sum(mask)) < mask.size
+
+    def test_both_sides_of_each_threshold_match_the_oracle(self):
+        # agreement above only shows that compaction scatters consistently;
+        # this shows each side of a threshold computes the right branch
+        a, b = self._grid()
+        for j in range(16):  # the explicit threshold points
+            ref = oracles.mp_means(float(a[j]), float(b[j]))
+            for tag, fn in M._KERNELS.items():
+                assert _rel(fn(float(a[j]), float(b[j])), float(ref[tag])) < 5e-14, (tag, j)
+
+    @pytest.mark.parametrize("rel", [False, True], ids=["mean", "rel"])
+    def test_whole_chunked_and_unprepared_agree_bitwise(self, rel):
+        a, b = self._grid()
+
+        def run(kind, a, b, pair):
+            if rel:
+                return M.rel_to_arithmetic(kind, a, b, pair=pair)
+            return M.mean_kernel(kind)(a, b, pair=pair)
+
+        for kind in self.KINDS:
+            whole = run(kind, a, b, M.Pair(a, b))
+            assert _bits(whole).tolist() == _bits(run(kind, a, b, None)).tolist(), kind
+            for size in (1, 7):
+                chunks = [slice(i, i + size) for i in range(0, a.size, size)]
+                parts = [run(kind, a[c], b[c], M.Pair(a[c], b[c])) for c in chunks]
+                assert _bits(whole).tolist() == _bits(np.concatenate(parts)).tolist(), (kind, size)
+            # a scalar pair takes the same branches as its grid point
+            j = a.size // 2
+            assert _bits(run(kind, float(a[j]), float(b[j]), None)) == _bits(whole[j]), kind
+
+    def test_power_means_broadcast_an_array_of_orders(self):
+        a, b = self._grid()
+        orders = np.array([-3.0, 0.0, 1e-9, 0.5, 3.0])
+        for fn in (M.power_mean, M.heronian_mean):
+            table = fn(a, b, orders[:, None])
+            assert table.shape == (orders.size, a.size)
+            for row, p in zip(table, orders):
+                assert _bits(row).tolist() == _bits(fn(a, b, p)).tolist(), (fn.__name__, p)
+            assert _bits(fn(4.0, 1.0, orders)).tolist() == [_bits(fn(4.0, 1.0, p)) for p in orders]
