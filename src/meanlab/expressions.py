@@ -21,6 +21,7 @@ full relative accuracy instead of dissolving into rounding noise.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -211,8 +212,14 @@ class _Parser:
         raise ParseError(f"unexpected token {text or 'end of input'!r}", pos)
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_expr(text: str) -> MeanExpr:
-    """Parse expression text; raises ParseError with a byte offset."""
+    """Parse expression text; raises ParseError with a byte offset.
+
+    Each text is parsed once: the tree is cached (the last 1024 texts) and
+    the same object is returned again, which is safe because every node is
+    a frozen dataclass.  A text that fails to parse is not cached, so it
+    raises afresh on every call."""
     return _Parser(text).parse()
 
 
@@ -304,7 +311,7 @@ def _mean_ratio(node: MeanExpr):
 
 
 def _guard(ctx: GridContext, node: MeanExpr, values, condition_bad):
-    if np.any(condition_bad):
+    if condition_bad.any():
         raise EvalError("invalid operand", to_text(node), ctx.first_bad_pair(condition_bad))
     return values
 

@@ -19,7 +19,8 @@ the hyperbolic one y = artanh(t) = log(hi/lo)/2, and
 
 Direct closed forms are used where they are stable; below ``SERIES_T_THRESHOLD``
 the removable-singularity routes switch to truncated series.  A series or
-overflow branch is evaluated only on the points that take it.
+overflow branch is evaluated only on the points that take it; a scalar pair
+takes it whole.
 """
 
 from __future__ import annotations
@@ -45,12 +46,22 @@ _QUIET = dict(divide="ignore", invalid="ignore", over="ignore", under="ignore")
 
 
 def _piecewise(mask, out, fn, *args):
-    """out[mask] = fn(*(arg[mask] for arg in args)), calling fn on the masked
-    points only (and not at all if there are none); scalar args pass whole."""
+    """out with fn(*(arg[mask] for arg in args)) written at the masked
+    points; fn runs on those points only, and not at all if there are none.
+    Scalar args pass whole.  A 0-d mask (a scalar pair) takes one branch
+    whole: it returns fn(*args) or out, with no gather or scatter.  The
+    caller must use the returned value, since a scalar cannot be written in
+    place."""
+    if not np.ndim(mask):
+        if not mask:
+            return out
+        with np.errstate(**_QUIET):
+            return fn(*args)
     idx = np.flatnonzero(mask)
     if idx.size:
         with np.errstate(**_QUIET):
             np.put(out, idx, fn(*(arg.take(idx) if np.ndim(arg) else arg for arg in args)))
+    return out
 
 
 class Pair:
@@ -58,20 +69,22 @@ class Pair:
     quantities that several kernels read, each computed on first use.
 
     A kernel given ``pair=`` reads these instead of validating its (a, b)
-    again; the pair must be ``Pair(a, b)`` of the same arguments.  Scalar
-    pairs are held as one-element arrays, so branches can be written into
-    the kernels' outputs."""
+    again; the pair must be ``Pair(a, b)`` of the same arguments.  A scalar
+    pair is held as two ``np.float64`` values, so every quantity and every
+    kernel output on it is 0-d and each branch is taken whole (see
+    :func:`_piecewise`); the kernel bodies are the same as on grids."""
 
     def __init__(self, a, b):
+        self.scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+        if self.scalar:  # float comparisons: numpy reductions cost microseconds
+            a, b = float(a), float(b)
+            if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+                raise DomainError("means are defined for positive finite arguments only")
+            self.hi, self.lo = np.float64(max(a, b)), np.float64(min(a, b))
+            return
         aa = np.asarray(a, dtype=float)
         bb = np.asarray(b, dtype=float)
-        self.scalar = aa.ndim == 0 and bb.ndim == 0
-        if self.scalar:  # float comparisons: numpy reductions cost microseconds
-            valid = 0.0 < float(aa) < math.inf and 0.0 < float(bb) < math.inf
-            aa, bb = aa.reshape(1), bb.reshape(1)
-        else:
-            valid = all(np.isfinite(arr).all() and not (arr <= 0.0).any() for arr in (aa, bb))
-        if not valid:
+        if not all(np.isfinite(arr).all() and not (arr <= 0.0).any() for arr in (aa, bb)):
             raise DomainError("means are defined for positive finite arguments only")
         self.hi = np.maximum(aa, bb)
         self.lo = np.minimum(aa, bb)
@@ -101,7 +114,9 @@ class Pair:
             u = (hi - lo) / lo
             log_ratio = np.log1p(u)
         # past u = 1e15 log1p gains nothing, and u itself may overflow
-        _piecewise(u >= 1e15, log_ratio, lambda hi, lo: np.log(hi) - np.log(lo), hi, lo)
+        log_ratio = _piecewise(
+            u >= 1e15, log_ratio, lambda hi, lo: np.log(hi) - np.log(lo), hi, lo
+        )
         return 0.5 * log_ratio
 
     @cached_property
@@ -116,8 +131,7 @@ class Pair:
         # the half-angle form everywhere beats gathering them
         with np.errstate(**_QUIET):
             out = 0.5 * math.pi - 2.0 * np.arcsin(np.sqrt(lo / (hi + lo)))
-        _piecewise(self.t <= 0.9, out, np.arcsin, self.t)
-        return out
+        return _piecewise(self.t <= 0.9, out, np.arcsin, self.t)
 
 
 def _pair(a, b, pair):
@@ -126,12 +140,14 @@ def _pair(a, b, pair):
 
 def _on_diagonal(pair, out):
     """out with hi written where hi == lo."""
+    if pair.scalar:  # out is 0-d, or a row of power-mean orders
+        return np.full_like(out, pair.hi) if pair.eq else out
     np.copyto(out, pair.hi, where=pair.eq)
     return out
 
 
 def _ret(out, scalar):
-    return float(out[0]) if scalar else out
+    return float(out) if scalar else out
 
 
 def arithmetic(a, b, *, pair=None):
@@ -158,7 +174,9 @@ def logarithmic(a, b, *, pair=None):
     pair = _pair(a, b, pair)
     with np.errstate(**_QUIET):
         out = (pair.hi - pair.lo) / (2.0 * pair.y)
-    _piecewise(_small(pair), out, lambda g, y: g * series.sinh_over_y(y, terms=6), pair.g, pair.y)
+    out = _piecewise(
+        _small(pair), out, lambda g, y: g * series.sinh_over_y(y, terms=6), pair.g, pair.y
+    )
     return _ret(_on_diagonal(pair, out), pair.scalar)
 
 
@@ -175,7 +193,7 @@ def logarithmic_param(a, b):
     pair = Pair(a, b)
     with np.errstate(**_QUIET):
         ratio = np.sinh(pair.y) / pair.y
-    _piecewise(_small(pair), ratio, lambda y: series.sinh_over_y(y, terms=6), pair.y)
+    ratio = _piecewise(_small(pair), ratio, lambda y: series.sinh_over_y(y, terms=6), pair.y)
     return _ret(pair.g * ratio, pair.scalar)
 
 
@@ -191,14 +209,16 @@ def identric(a, b, *, pair=None):
         u = (hi - lo) / lo
         # log1p(u) = 2y exactly while u < 1e15
         out = lo * np.exp((1.0 + u) * (2.0 * pair.y) / u - 1.0)
-    # for astronomically large ratios (1+u) overflows; the plain form has
-    # no cancellation left there
-    _piecewise(
+    # for astronomically large ratios (1+u) overflows; anchored at hi the
+    # exponent lo log(hi/lo)/(hi - lo) - 1 stays near -1, where exp does not
+    # amplify its rounding, and 2y = log(hi) - log(lo) there
+    out = _piecewise(
         u >= 1e15,
         out,
-        lambda hi, lo: np.exp((hi * np.log(hi) - lo * np.log(lo)) / (hi - lo) - 1.0),
+        lambda hi, lo, y: hi * np.exp(lo * (2.0 * y) / (hi - lo) - 1.0),
         hi,
         lo,
+        pair.y,
     )
     return _ret(_on_diagonal(pair, out), pair.scalar)
 
@@ -218,7 +238,7 @@ def seiffert(a, b, *, pair=None):
     pair = _pair(a, b, pair)
     with np.errstate(**_QUIET):
         out = (pair.hi - pair.lo) / (2.0 * pair.x)
-    _piecewise(
+    out = _piecewise(
         _small(pair),
         out,
         lambda hi, lo, x: 0.5 * (hi + lo) / (1.0 + series.xoversin_minus_one(x, terms=6)),
@@ -251,7 +271,7 @@ def x_mean(a, b, *, pair=None):
     a_sum = pair.hi + pair.lo
     with np.errstate(**_QUIET):
         w = pair.x * (2.0 * pair.g / a_sum) / pair.t - 1.0
-    _piecewise(_small(pair), w, lambda x: series.xcotx_minus_one(x, terms=6), pair.x)
+    w = _piecewise(_small(pair), w, lambda x: series.xcotx_minus_one(x, terms=6), pair.x)
     return _ret(0.5 * a_sum * np.exp(w), pair.scalar)
 
 
@@ -270,7 +290,7 @@ def y_mean(a, b, *, pair=None):
     pair = _pair(a, b, pair)
     with np.errstate(**_QUIET):
         w = np.tanh(pair.y) / pair.y - 1.0
-    _piecewise(_small(pair), w, lambda y: series.tanh_over_y_minus_one(y, terms=6), pair.y)
+    w = _piecewise(_small(pair), w, lambda y: series.tanh_over_y_minus_one(y, terms=6), pair.y)
     return _ret(_on_diagonal(pair, pair.g * np.exp(w)), pair.scalar)
 
 
@@ -298,10 +318,13 @@ def _power_exponent(pair, p, weight, asymptote, divisor):
         return p * y * y / divisor
     v = p * y
     with np.errstate(**_QUIET):
-        out = np.log1p(weight * np.sinh(0.5 * v) ** 2) / p
-    _piecewise(np.abs(v) > 700.0, out, lambda v, p: (np.abs(v) - asymptote) / p, v, p)
+        # s * s, not s ** 2: on an array ** 2 is this product, but on a
+        # scalar it calls pow, which can differ from it in the last bit
+        s = np.sinh(0.5 * v)
+        out = np.log1p(weight * (s * s)) / p
+    out = _piecewise(np.abs(v) > 700.0, out, lambda v, p: (np.abs(v) - asymptote) / p, v, p)
     if p.ndim:
-        _piecewise(
+        out = _piecewise(
             np.abs(p) < POWER_LIMIT_THRESHOLD, out, lambda p, y: p * y * y / divisor, p, y
         )
     return out
@@ -309,7 +332,7 @@ def _power_exponent(pair, p, weight, asymptote, divisor):
 
 def _power_type_mean(tag, a, b, p, pair):
     pair = _pair(a, b, pair)
-    if not np.all(np.isfinite(np.asarray(p, dtype=float))):
+    if not np.isfinite(np.asarray(p, dtype=float)).all():
         name = "power mean" if tag == "Mp" else "Heronian"
         raise DomainError(f"{name} exponent must be finite")
     out = pair.g * np.exp(_power_exponent(pair, p, *_POWER_TYPE[tag]))
@@ -341,21 +364,32 @@ def _rel_geometric(t):
     return -(t * t) / (1.0 + np.sqrt(1.0 - t * t))
 
 
+def _log_geometric_over_arithmetic(pair):
+    """log(G/A) = -log(cosh y).  log1p(G/A - 1) loses the digits of G/A as
+    t -> 1, and from a ratio of about 1e16 it is log1p(-1); past y = 1 the
+    form -(y - log 2 + log1p(e^(-2y))) keeps them."""
+    with np.errstate(**_QUIET):
+        out = np.log1p(_rel_geometric(pair.t))
+    return _piecewise(
+        pair.y > 1.0, out, lambda y: -(y - math.log(2.0) + np.log1p(np.exp(-2.0 * y))), pair.y
+    )
+
+
 def _rel_logarithmic(y):
     with np.errstate(**_QUIET):
         out = np.tanh(y) / y - 1.0
-    _piecewise(
+    return _piecewise(
         y < _REL_DIRECT_CUTOFF, out, lambda v: series.tanh_over_y_minus_one(v, terms=10), y
     )
-    return out
 
 
 def _rel_identric_exponent(y):
     # A/L - 1 = y coth y - 1
     with np.errstate(**_QUIET):
         out = y / np.tanh(y) - 1.0
-    _piecewise(y < _REL_DIRECT_CUTOFF, out, lambda v: series.ycothy_minus_one(v, terms=10), y)
-    return out
+    return _piecewise(
+        y < _REL_DIRECT_CUTOFF, out, lambda v: series.ycothy_minus_one(v, terms=10), y
+    )
 
 
 def rel_to_arithmetic(kind: "MeanKind", a, b, *, pair=None):
@@ -382,7 +416,7 @@ def rel_to_arithmetic(kind: "MeanKind", a, b, *, pair=None):
         out = rg + e + rg * e
     elif tag in _POWER_TYPE:
         expo = _power_exponent(pair, kind.exponent, *_POWER_TYPE[tag])
-        out = np.expm1(np.log1p(_rel_geometric(pair.t)) + expo)
+        out = np.expm1(_log_geometric_over_arithmetic(pair) + expo)
     else:  # pragma: no cover
         raise DomainError(f"unknown mean kind {kind!r}")
     return _ret(out, pair.scalar)

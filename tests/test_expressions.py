@@ -93,6 +93,18 @@ class TestParsing:
         with pytest.raises(ParseError, match="unknown identifier"):
             parse_expr("2*W + 1")
 
+    def test_each_text_is_parsed_once(self):
+        text = "(P + X)/2 - L(X, Mp[0.5])"
+        assert parse_expr(text) is parse_expr(text)
+        assert parse_expr(text) == parse_expr(text + " ")
+
+    @pytest.mark.parametrize("bad,offset", [("(2*G+", 5), ("Mp[q]", 3), ("", 0)])
+    def test_parse_error_is_raised_on_every_call(self, bad, offset):
+        for _ in range(3):
+            with pytest.raises(ParseError) as err:
+                parse_expr(bad)
+            assert err.value.position == offset
+
 
 class TestEvaluation:
     def test_eval_expr_typed_entry(self):
@@ -132,6 +144,27 @@ class TestEvaluation:
         with pytest.raises(EvalError) as err:
             evaluate(parse_expr("log(G - A)"), a, 1.0)
         assert err.value.pair is not None
+
+
+class TestScalarMatchesGrid:
+    # near the diagonal (series branches), mid-range and the registry's top
+    # ratio, at three scales and with both orders of the pair
+    RATIOS = (1.0 + 1e-6, 1.00005, 1.0001, 1.3, 3.0, 19.0, 1e4, 1e8)
+
+    def test_registry_members_bitwise(self):
+        from meanlab.chains import builtin_suite
+
+        r = np.array(self.RATIOS * 3)
+        b = np.repeat([1e-3, 1.0, 7.5], len(self.RATIOS))
+        a = r * b
+        a, b = np.concatenate([a, b]), np.concatenate([b, a])
+        texts = sorted({t for chain in builtin_suite() for t in chain.member_texts})
+        for text in texts:
+            expr = parse_expr(text)
+            grid = evaluate(expr, a, b)
+            scalars = [evaluate(expr, float(x), float(y)) for x, y in zip(a, b)]
+            assert all(isinstance(v, float) for v in scalars), text
+            assert np.array_equal(np.array(scalars).view(np.int64), grid.view(np.int64)), text
 
 
 class TestStablePatterns:

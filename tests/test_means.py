@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -76,7 +77,44 @@ class TestClosedForms:
             M.heronian_mean(2, 3, math.nan)
 
 
+def _ulps(value, ref):
+    return float(abs(mpmath.mpf(value) - ref)) / float(np.spacing(abs(float(ref))))
+
+
 class TestAgainstMpmathOracle:
+    #: a/b from the diagonal to the top of the exponent range, with b = 1
+    FULL_RANGE = (1.0 + 1e-9, 1.0 + 1e-6, 1.001, 1.5, 3.0, 10.0, 1e3, 1e8, 1e12, 1e15, 1e16,
+                  1e20, 1e50, 1e100, 1e200, 1e300)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "kind",
+        [MeanKind.power(p) for p in (-2.0, 0.5, 3.0)] + [MeanKind.heronian(p) for p in (0.5, 2.0)],
+        ids=lambda k: k.label(),
+    )
+    def test_power_type_rel_over_the_full_range(self, kind):
+        # log(G/A) comes from y once t is near 1, where log1p(G/A - 1)
+        # cancels and from a/b ~ 1e16 is log1p(-1)
+        for r in self.FULL_RANGE:
+            with mpmath.workdps(80):
+                ref = oracles._mp_mean(kind, r, 1.0) / ((mpmath.mpf(r) + 1) / 2) - 1
+            got = M.rel_to_arithmetic(kind, r, 1.0)
+            assert _rel(got, float(ref)) < 1e-12, (kind.label(), r, got, float(ref))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "a,b", [(1.0000001e15, 1.0), (1e50, 1.0), (1e100, 1.0), (1e300, 1.0), (1e308, 1e-308),
+                (1.7e308, 1e-5), (2.5e-300, 1e-320)],
+    )
+    def test_identric_past_u_1e15_within_an_ulp(self, a, b):
+        # the branch is anchored at hi, so exp sees an exponent near -1
+        with mpmath.workdps(80):
+            hi, lo = mpmath.mpf(a), mpmath.mpf(b)
+            ref = mpmath.exp((hi * mpmath.log(hi) - lo * mpmath.log(lo)) / (hi - lo) - 1)
+        assert (a - b) / b >= 1e15
+        assert _ulps(M.identric(a, b), ref) <= 1.0
+        assert _ulps(M.identric(b, a), ref) <= 1.0
+
     def test_random_pairs_all_means(self):
         rng = np.random.default_rng(7)
         bs = np.exp(rng.uniform(math.log(1e-4), math.log(1e4), 25))
@@ -377,9 +415,11 @@ class TestBranchCompaction:
                 chunks = [slice(i, i + size) for i in range(0, a.size, size)]
                 parts = [run(kind, a[c], b[c], M.Pair(a[c], b[c])) for c in chunks]
                 assert _bits(whole).tolist() == _bits(np.concatenate(parts)).tolist(), (kind, size)
-            # a scalar pair takes the same branches as its grid point
-            j = a.size // 2
-            assert _bits(run(kind, float(a[j]), float(b[j]), None)) == _bits(whole[j]), kind
+            # a scalar pair takes each branch whole, and must give the bits
+            # of its grid point on both sides of every threshold
+            scalars = [run(kind, float(x), float(y), None) for x, y in zip(a, b)]
+            assert all(isinstance(v, float) for v in scalars), kind
+            assert _bits(scalars).tolist() == _bits(whole).tolist(), kind
 
     def test_power_means_broadcast_an_array_of_orders(self):
         a, b = self._grid()
