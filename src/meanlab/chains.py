@@ -34,10 +34,12 @@ from .means import power_mean
 
 DEFAULT_MARGIN_GUARD = 1e-13
 
-#: Grid points per chunk.  The grid stages evaluate each chunk on its own
-#: context, so a member array (512 KiB) and the few a link scan holds at once
-#: stay in a core's L2 cache, and the cached means take memory per chunk, not
-#: per grid.
+#: Grid points per chunk, at most (a chunk of the refined grid adds the extra
+#: points in its range).  Each chunk is evaluated on its own context.  On the
+#: chain suite that context caches about 28 arrays of the chunk's size: the
+#: ratios, the pairs, the means and their offsets.  At 50 000 points they take
+#: some 11 MB, and a chunk's scan peaks near 15 MB, well past a core's L2
+#: cache.  Memory grows with the chunk size and the core count, not the grid.
 CHUNK_POINTS = 1 << 16
 
 _NC = _ratios_mod.named_constants()
@@ -63,15 +65,42 @@ class GridSpec:
     def __post_init__(self):
         if not (self.n >= 2):
             raise ConfigError("grid needs n >= 2")
-        if not (self.r_min > 0.0):
-            raise ConfigError("grid needs r_min > 0")
+        if not (self.r_min > 0.0 and math.isfinite(self.r_min)):
+            raise ConfigError("grid needs positive finite r_min")
+        if not math.isfinite(self.r_max):
+            raise ConfigError("grid needs finite r_max")
         if not (self.r_max > 1.0 + self.r_min):
             raise ConfigError("grid needs r_max > 1 + r_min")
         if not (self.b > 0.0 and math.isfinite(self.b)):
             raise ConfigError("grid needs positive finite b")
 
     def ratios(self) -> np.ndarray:
-        return np.geomspace(1.0 + self.r_min, self.r_max, self.n)
+        return self.ratios_slice(0, self.n)
+
+    def ratios_slice(self, lo: int, hi: int) -> np.ndarray:
+        """Ratios lo..hi-1 of the grid, bit for bit those of
+        np.geomspace(1 + r_min, r_max, n): the same steps in the same order
+        (numpy's linspace of the log10 endpoints, a power of 10, then the
+        exact endpoints), on the index range only."""
+        start, stop = 1.0 + self.r_min, self.r_max
+        log_start, log_stop = np.log10(start), np.log10(stop)
+        div = self.n - 1
+        step = (log_stop - log_start) / div
+        y = np.arange(lo, hi, dtype=float)
+        if step == 0:  # numpy's order for a step that underflows
+            y /= div
+            y *= log_stop - log_start
+        else:
+            y *= step
+        y += log_start
+        if hi == self.n:
+            y[-1] = log_stop
+        r = np.power(10.0, y)
+        if lo == 0:
+            r[0] = start
+        if hi == self.n:
+            r[-1] = stop
+        return r
 
     def describe(self) -> str:
         return (
@@ -80,11 +109,26 @@ class GridSpec:
         )
 
 
-def refined_ratios(grid: GridSpec) -> np.ndarray:
-    """Default grid plus 100 extra points hugging each asymptotic end."""
+def refined_ratios(grid: GridSpec, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """The grid plus 100 extra points hugging each asymptotic end, sorted and
+    deduplicated.  With an index range, the chunk of it that grid ratios
+    lo..hi-1 own: their own values and the extra points from the first of
+    them up to the next chunk's first ratio, so the chunks of consecutive
+    ranges concatenate to the whole refined grid."""
+    hi = grid.n if hi is None else hi
+    if not math.isfinite(grid.r_max * 1e4):
+        raise ConfigError(f"refined grid needs finite r_max*1e4; r_max = {grid.r_max!r}")
     near = np.geomspace(1.0 + 1e-12, 1.0 + 1e-6, 100, endpoint=False)
     far = np.geomspace(grid.r_max, grid.r_max * 1e4, 100)
-    return np.unique(np.concatenate([near, grid.ratios(), far]))
+    extra = np.concatenate([near, far])
+    r = grid.ratios_slice(lo, hi)
+    if lo > 0:
+        extra = extra[extra >= r[0]]
+    if hi < grid.n:
+        end = grid.ratios_slice(hi, hi + 1)[0]
+        extra = extra[extra < end]
+        r = r[r < end]  # a repeat of the next chunk's first ratio is its own
+    return np.unique(np.concatenate([extra, r]))
 
 
 @dataclass(frozen=True)
@@ -145,32 +189,82 @@ class ChainReport:
         }
 
 
-def _rel_margins(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """(rhs - lhs)/max(|lhs|, |rhs|), and 0 where that denominator is 0 or NaN."""
-    denom = np.abs(lhs)
-    np.maximum(denom, np.abs(rhs), out=denom)
+def _rel_margins(lhs: np.ndarray, rhs: np.ndarray, positive: bool = False, out=None) -> np.ndarray:
+    """(rhs - lhs)/max(|lhs|, |rhs|), and 0 where that denominator is 0 or NaN.
+
+    positive: both sides are known to be > 0 everywhere, so the denominator
+    is max(lhs, rhs) and never 0.  out: two arrays of the sides' shape that
+    receive the denominator and the margins (which are returned)."""
+    denom, margins = out if out is not None else (np.empty_like(lhs), np.empty_like(lhs))
+    if positive:
+        np.maximum(lhs, rhs, out=denom)
+    else:
+        np.abs(lhs, out=denom)
+        np.maximum(denom, np.abs(rhs, out=margins), out=denom)
     with np.errstate(divide="ignore", invalid="ignore"):
-        margins = rhs - lhs
+        np.subtract(rhs, lhs, out=margins)
         np.divide(margins, denom, out=margins)
-    positive = denom > 0.0
-    if not positive.all():
-        margins[~positive] = 0.0
+    if not positive and not denom.min() > 0.0:  # NaN fails this test too
+        margins[~(denom > 0.0)] = 0.0
     return margins
 
 
-def scan_links(members, ctx: GridContext):
-    """Evaluate ``members`` on ``ctx`` in order and yield, per adjacent link,
-    (lhs values, rhs values, minimum relative margin, first argmin index).
+class _LinkPlan:
+    """The distinct members and distinct (lhs, rhs) links of several member
+    lists, interned once per stage as integer slots, so that a chunk
+    evaluates each member and scans each link once however many lists share
+    them.  Links are scanned as soon as their later member is evaluated, and
+    a member's values are dropped after the last link that reads them."""
 
-    Members are evaluated as the scan reaches them, so only the current
-    link's values are held, not the whole chain's."""
-    rhs = None
-    for member in members:
-        lhs, rhs = rhs, np.asarray(ctx.evaluate(member))
-        if lhs is not None:
-            margins = _rel_margins(lhs, rhs)
-            j = int(np.argmin(margins))
-            yield lhs, rhs, float(margins[j]), j
+    def __init__(self, member_lists):
+        slots: dict = {}
+        link_slots: dict = {}
+        self.rows = []  # per list: its member slots and its link slots
+        for members in member_lists:
+            ms = [slots.setdefault(m, len(slots)) for m in members]
+            ls = [link_slots.setdefault(pair, len(link_slots)) for pair in zip(ms, ms[1:])]
+            self.rows.append((ms, ls))
+        self.members = list(slots)
+        self.links = list(link_slots)
+        self.ready = [[] for _ in self.members]  # links to scan once a member is in
+        last_use = [0] * len(self.members)
+        for k, (l, r) in enumerate(self.links):
+            step = max(l, r)
+            self.ready[step].append(k)
+            last_use[l] = max(last_use[l], step)
+            last_use[r] = max(last_use[r], step)
+        self.drop = [[] for _ in self.members]
+        for m, step in enumerate(last_use):
+            self.drop[step].append(m)
+
+    def scan(self, ratios: np.ndarray, b):
+        """Over the pairs (ratios*b, b): per link, (min margin, ratio at the
+        first argmin, rhs - lhs there), or None where a member raised; and
+        the EvalError each failing member raised, by member slot."""
+        out = [None] * len(self.links)
+        errors = {}
+        if not ratios.size:
+            return out, errors
+        ctx = GridContext(ratios * b, b)
+        values, positive = {}, {}
+        buffers = np.empty(ratios.size), np.empty(ratios.size)
+        for s, member in enumerate(self.members):
+            try:
+                values[s] = v = np.asarray(ctx.evaluate(member))
+                positive[s] = v.min() > 0.0
+            except EvalError as exc:
+                errors[s] = exc
+            for k in self.ready[s]:
+                l, r = self.links[k]
+                if l in values and r in values:
+                    lhs, rhs = values[l], values[r]
+                    margins = _rel_margins(lhs, rhs, positive[l] and positive[r], buffers)
+                    j = int(np.argmin(margins))
+                    # as Python floats, two infinities subtract without a warning
+                    out[k] = (float(margins[j]), float(ratios[j]), float(rhs[j]) - float(lhs[j]))
+            for m in self.drop[s]:
+                values.pop(m, None)
+        return out, errors
 
 
 def _worker_count(chunks: int) -> int:
@@ -181,64 +275,63 @@ def _worker_count(chunks: int) -> int:
     return min(chunks, cores)
 
 
-def _map_chunks(scan, a: np.ndarray, b) -> list:
-    """scan(GridContext, offset) on each CHUNK_POINTS slice of the pairs
-    (a, b), results in chunk order.  Several chunks run on a thread pool;
-    the kernels spend their time in numpy, which releases the GIL."""
-    offsets = range(0, a.size, CHUNK_POINTS)
+def _map_chunks(run, n: int):
+    """Yield run(lo, hi) for the chunks [lo, hi) of range(n), in order.
 
-    def run(offset):
-        return scan(GridContext(a[offset : offset + CHUNK_POINTS], b), offset)
-
-    workers = _worker_count(len(offsets))
+    At most CHUNK_POINTS points each, the chunks come in a multiple of the
+    worker count and hold ceil(n / count) points each, so every worker gets
+    the same share.  Several chunks run on a thread pool; the kernels spend
+    their time in numpy, which releases the GIL."""
+    chunks = -(-n // CHUNK_POINTS)
+    workers = _worker_count(chunks)
+    size = -(-n // (workers * -(-chunks // workers)))
+    bounds = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
     if workers < 2:
-        return [run(offset) for offset in offsets]
+        for lo, hi in bounds:
+            yield run(lo, hi)
+        return
     from concurrent.futures import ThreadPoolExecutor  # importing it costs ~8 ms
 
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(run, offsets))
+        yield from pool.map(lambda bound: run(*bound), bounds)
 
 
 def _first_min(parts):
-    """Merge per-chunk (min margin, grid index, ...) records, given in grid
-    order, the way np.argmin reads the whole grid: the first NaN if there is
-    one, else the first index that holds the minimum."""
+    """Merge per-chunk (min margin, grid position, ...) records, given in
+    grid order, the way np.argmin reads the whole grid: the first NaN if there
+    is one, else the first that holds the minimum.  None records are skipped."""
     best = None
     for part in parts:
+        if part is None:
+            continue
         if best is None or part[0] < best[0] or (math.isnan(part[0]) and not math.isnan(best[0])):
             best = part
     return best
 
 
-def _link_minima(members, ctx: GridContext, offset: int = 0):
-    """(min margin, grid index, rhs - lhs there) for each link of members,
-    or the EvalError that evaluating them raised."""
-    try:
-        return [
-            (margin, offset + j, float(rhs[j] - lhs[j]))
-            for lhs, rhs, margin, j in scan_links(members, ctx)
-        ]
-    except EvalError as exc:
-        return exc
-
-
-def _grid_link_minima(member_lists, a: np.ndarray, b) -> list:
-    """_link_minima of each member list over the pairs (a, b), evaluated
-    chunk by chunk and merged per link with a first-index argmin."""
-    per_chunk = _map_chunks(
-        lambda ctx, offset: [_link_minima(m, ctx, offset) for m in member_lists], a, b
-    )
+def _grid_link_minima(member_lists, n: int, ratios_of, b) -> list:
+    """For each member list, (min margin, ratio there, rhs - lhs there) per
+    link over the pairs (ratios_of(0, n)*b, b), or the EvalError evaluating
+    the list raised.  Streamed: each chunk [lo, hi) evaluates ratios_of(lo,
+    hi) alone, and the links merge chunk by chunk with a first argmin."""
+    plan = _LinkPlan(member_lists)
+    best = [None] * len(plan.links)
+    failed = set()
+    for links, errors in _map_chunks(lambda lo, hi: plan.scan(ratios_of(lo, hi), b), n):
+        best = [_first_min(pair) for pair in zip(best, links)]
+        failed.update(errors)
     whole = None
     out = []
-    for members, parts in zip(member_lists, zip(*per_chunk)):
-        if any(isinstance(p, EvalError) for p in parts):
-            # members are evaluated one after another over all points, so the
-            # first chunk to fail need not hold the whole grid's first error
-            if whole is None:
-                whole = GridContext(a, b)
-            out.append(_link_minima(members, whole))
-        else:
-            out.append([_first_min(link) for link in zip(*parts)])
+    for members, (ms, ls) in zip(member_lists, plan.rows):
+        if failed.isdisjoint(ms):
+            out.append([best[k] for k in ls])
+            continue
+        # members are evaluated one after another over all points, so the
+        # first chunk to fail need not hold the whole grid's first error
+        if whole is None:
+            whole = ratios_of(0, n)
+        links, errors = _LinkPlan([members]).scan(whole, b)
+        out.append(errors[min(errors)] if errors else links)
     return out
 
 
@@ -248,14 +341,15 @@ def verify_chains(
     margin_guard: float = DEFAULT_MARGIN_GUARD,
 ) -> list[ChainReport]:
     """Evaluate every adjacent link of each chain on the grid; a chain passes
-    iff all its margins clear the guard.  The chains share one grid context
-    per chunk, so each mean is computed once per chunk.  Deterministic: the
-    report does not depend on the chunking or the thread count."""
+    iff all its margins clear the guard.  The grid is streamed: each chunk
+    builds its own ratios and one context that all chains share, and
+    evaluates each distinct member and scans each distinct link once.
+    Deterministic: the report does not depend on the chunking or the thread
+    count."""
     grid = grid or GridSpec()
     chains = list(chains)
-    r = grid.ratios()
     described = grid.describe()
-    minima = _grid_link_minima([c.members for c in chains], r * grid.b, grid.b)
+    minima = _grid_link_minima([c.members for c in chains], grid.n, grid.ratios_slice, grid.b)
     reports = []
     for chain, links in zip(chains, minima):
         if isinstance(links, EvalError):
@@ -263,8 +357,8 @@ def verify_chains(
             continue
         texts = chain.member_texts
         link_reports = tuple(
-            LinkReport(lhs, rhs, margin, float(r[j]))
-            for lhs, rhs, (margin, j, _) in zip(texts, texts[1:], links)
+            LinkReport(lhs, rhs, margin, ratio)
+            for lhs, rhs, (margin, ratio, _) in zip(texts, texts[1:], links)
         )
         passed = all(l.min_margin > margin_guard for l in link_reports)
         reports.append(ChainReport(chain.id, link_reports, passed, described, margin_guard))
@@ -612,18 +706,20 @@ class ProbeOutcome:
 
 
 def _run_probes(templates, epsilon: float, grid: GridSpec, margin_guard: float):
-    a = refined_ratios(grid) * grid.b
     tightened = [tpl.build(tpl.nominal + tpl.tighten_sign * epsilon).members for tpl in templates]
+    minima = _grid_link_minima(
+        tightened, grid.n, lambda lo, hi: refined_ratios(grid, lo, hi), grid.b
+    )
     outcomes = []
-    for tpl, links in zip(templates, _grid_link_minima(tightened, a, grid.b)):
+    for tpl, links in zip(templates, minima):
         if isinstance(links, EvalError):
             raise links
-        worst, worst_idx = math.inf, 0
-        for margin, j, _ in links:
+        worst, worst_ratio = math.inf, None
+        for margin, ratio, _ in links:
             if margin < worst:
-                worst, worst_idx = margin, j
+                worst, worst_ratio = margin, ratio
         violated = worst < -margin_guard
-        pair = (float(a[worst_idx]), float(grid.b)) if violated else None
+        pair = (float(worst_ratio * grid.b), float(grid.b)) if violated else None
         outcomes.append(
             ProbeOutcome(tpl.chain_id, tpl.constant, tpl.direction, epsilon, violated, pair, worst)
         )
@@ -671,8 +767,9 @@ def sharpness_probe(
 
 def sharpness_probes(grid: GridSpec | None = None, epsilon: float = 1e-3) -> list[ProbeOutcome]:
     """sharpness_probe for every template, in registry order, tightening
-    each constant by epsilon; the probes share one context per chunk of the
-    refined grid."""
+    each constant by epsilon.  The refined grid is streamed like the chain
+    stage's: each chunk of the grid, with the extra points in its range, gets
+    one context that all probes share."""
     return _run_probes(list(_TEMPLATES.values()), epsilon, grid or GridSpec(), DEFAULT_MARGIN_GUARD)
 
 
@@ -786,19 +883,19 @@ class ConjectureReport:
 
 
 def conjecture_scan(grid: GridSpec | None = None) -> ConjectureReport:
-    """Minimum of P*X - I*L over the grid: numerical evidence only."""
+    """Minimum of P*X - I*L over the grid: numerical evidence only.  The
+    grid is streamed in chunks, like the chain stage's."""
     grid = grid or GridSpec()
-    r = grid.ratios()
     px_expr, il_expr = conjecture_margin_expr()
-    [links] = _grid_link_minima([(il_expr, px_expr)], r * grid.b, grid.b)
+    [links] = _grid_link_minima([(il_expr, px_expr)], grid.n, grid.ratios_slice, grid.b)
     if isinstance(links, EvalError):
         raise links
-    [(m, j, difference)] = links
+    [(m, ratio, difference)] = links
     sign = "positive" if m > 0 else ("negative" if m < 0 else "zero")
     return ConjectureReport(
         min_margin=m,
         min_difference=difference,
-        argmin_ratio=float(r[j]),
+        argmin_ratio=ratio,
         sign=sign,
         resolved=False,
         note=(

@@ -4,10 +4,13 @@ registry, recover sharp constants, emit plot tables, and bracket exponents.
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
 I/O error.  Reports are deterministic: identical configuration yields byte
 identical output.  Verification, the sharpness probes and the conjecture scan
-evaluate the grid in chunks of chains.CHUNK_POINTS points, on a thread per
-core when there are several chunks; each chunk's mean values are shared by
-all chains, and the report does not depend on the chunking or the thread
-count.  MEANLAB_THREADS is not read.
+stream the grid: each chunk of at most chains.CHUNK_POINTS points builds its
+own ratios and mean values, and no stage holds a whole-grid array.  The chunk
+count is a multiple of the core count, with chunks equal to within one point,
+and the chunks run on a thread per core when there are several.  A chunk
+evaluates each distinct member of the selected chains once and scans each
+distinct link once.  The report does not depend on the chunking or the thread
+count.
 """
 
 from __future__ import annotations

@@ -268,7 +268,7 @@ class TestAcceptance:
 
         first = capture()
         second = capture()
-        serial = capture(300, 1)  # 7 chunks of the grid, 8 of the refined grid
+        serial = capture(300, 1)  # 7 chunks of 286 points, and 8 of 250 on 4 workers
         threaded = capture(300, 4)
         ok = first == second == serial == threaded and len(first) > 1000
         with capsys.disabled():

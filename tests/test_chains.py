@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ from meanlab.errors import ConfigError, DomainError
 from meanlab.expressions import evaluate
 
 import oracles
+
+# grids whose ratios, sliced anywhere, must be np.geomspace's bit for bit
+SIX_GRIDS = [(1e-15, 1e300), (1e-12, 1e15), (1e-6, 1e8), (0.1, 1e8), (1e-12, 1.0001), (1e-3, 1e3)]
 
 EXPECTED_IDS = {
     "T11-1", "T11-2", "T11-3", "T11-4",
@@ -213,11 +217,78 @@ class TestChunkedScan:
         special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.0]
         lhs = np.r_[rng.standard_normal(200), np.repeat(special, len(special))]
         rhs = np.r_[rng.standard_normal(200), np.tile(special, len(special))]
-        denom = np.maximum(np.abs(lhs), np.abs(rhs))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            expected = np.where(denom > 0.0, (rhs - lhs) / np.where(denom > 0.0, denom, 1.0), 0.0)
-        got = chains._rel_margins(lhs, rhs)
-        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        # both sides known positive: the denominator is max(lhs, rhs)
+        positive = [np.inf, 5e-324, 2.2e-308, 1e-300, 1.0, 1.7e308]
+        plhs = np.r_[rng.random(200) + 1e-3, np.repeat(positive, len(positive))]
+        prhs = np.r_[rng.random(200) + 1e-3, np.tile(positive, len(positive))]
+        buffers = np.empty(plhs.size), np.empty(plhs.size)
+        for lhs, rhs, known in ((lhs, rhs, False), (plhs, prhs, False), (plhs, prhs, True)):
+            denom = np.maximum(np.abs(lhs), np.abs(rhs))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                expected = np.where(denom > 0.0, (rhs - lhs) / np.where(denom > 0.0, denom, 1.0), 0.0)
+            got = chains._rel_margins(lhs, rhs, known)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+            if known:
+                got = chains._rel_margins(lhs, rhs, known, buffers)
+                assert got is buffers[1]
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_balanced_chunk_plan(self, monkeypatch):
+        # ceil(n / CHUNK_POINTS) chunks, rounded up to a multiple of the
+        # workers, all of ceil(n / count) points but the last
+        def sizes(n, chunk_points, workers):
+            monkeypatch.setattr(chains, "CHUNK_POINTS", chunk_points)
+            monkeypatch.setattr(chains, "_worker_count", lambda chunks: min(chunks, workers))
+            bounds = list(chains._map_chunks(lambda lo, hi: (lo, hi), n))
+            assert [lo for lo, _ in bounds] == [0, *(hi for _, hi in bounds[:-1])]
+            assert bounds[-1][1] == n
+            return [hi - lo for lo, hi in bounds]
+
+        assert sizes(2000, 300, 1) == [286] * 6 + [284]
+        assert sizes(2000, 300, 4) == [250] * 8
+        assert sizes(300_000, 1 << 16, 2) == [50_000] * 6
+        assert sizes(10_000, 1 << 16, 2) == [10_000]
+        assert sizes(5, 2, 2) == [2, 2, 1]
+
+    def test_each_distinct_member_and_link_once_per_chunk(self, monkeypatch):
+        # the suite's 36 chains share members and links; a chunk evaluates
+        # each distinct member once and scans each distinct link once
+        suite = builtin_suite()
+        evaluated, scanned, current = [], [], {}
+
+        class CountingContext(chains.GridContext):
+            def __init__(self, a, b):
+                super().__init__(a, b)
+                evaluated.append(Counter())
+                scanned.append(Counter())
+
+            def evaluate(self, expr):
+                out = super().evaluate(expr)
+                evaluated[-1][expr] += 1
+                current[id(out)] = expr
+                return out
+
+        original = chains._rel_margins
+
+        def counting_margins(lhs, rhs, *args):
+            scanned[-1][current[id(lhs)], current[id(rhs)]] += 1
+            return original(lhs, rhs, *args)
+
+        monkeypatch.setattr(chains, "GridContext", CountingContext)
+        monkeypatch.setattr(chains, "_rel_margins", counting_margins)
+        monkeypatch.setattr(chains, "CHUNK_POINTS", 300)
+        monkeypatch.setattr(chains, "_worker_count", lambda chunks: 1)  # unlocked counters
+        expected = chains.verify_chains(suite, GridSpec(r_min=0.1, n=1000))
+        members = {m for c in suite for m in c.members}
+        links = {link for c in suite for link in zip(c.members, c.members[1:])}
+        assert len(evaluated) == 4
+        for members_seen, links_seen in zip(evaluated, scanned):
+            assert members_seen == Counter(members)
+            assert links_seen == Counter(links)
+        assert sum(len(c.members) for c in suite) > len(members)
+        assert sum(len(c.members) - 1 for c in suite) > len(links)
+        monkeypatch.undo()
+        assert chains.verify_chains(suite, GridSpec(r_min=0.1, n=1000)) == expected
 
 
 class TestGridSpec:
@@ -244,6 +315,43 @@ class TestGridSpec:
         assert r[0] < 1.0 + 1e-11
         assert r[-1] == pytest.approx(1e12, rel=1e-12)
         assert np.all(np.diff(r) > 0)
+
+    def test_validation_names_non_finite_bounds(self):
+        with pytest.raises(ConfigError, match="r_max"):
+            GridSpec(r_max=math.inf)
+        with pytest.raises(ConfigError, match="r_min"):
+            GridSpec(r_min=math.inf)
+        with pytest.raises(ConfigError, match="r_min"):
+            GridSpec(r_min=math.nan)
+        with pytest.raises(ConfigError, match=r"r_max\*1e4"):
+            refined_ratios(GridSpec(r_max=1e306))
+
+    @pytest.mark.parametrize("r_min, r_max", SIX_GRIDS)
+    def test_ratio_slices_are_geomspace_bitwise(self, r_min, r_max):
+        n = 70_001
+        grid = GridSpec(r_min=r_min, r_max=r_max, n=n)
+        expected = np.geomspace(1.0 + r_min, r_max, n).view(np.int64)
+        for size in (7, 64, 300, 1000, 50_000, 65_536):
+            parts = [grid.ratios_slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+            assert np.array_equal(np.concatenate(parts).view(np.int64), expected), size
+        # single points, at both endpoints and at edges of the chunkings above
+        for i in (0, 1, 6, 7, 63, 64, 65_535, 65_536, n - 2, n - 1):
+            assert grid.ratios_slice(i, i + 1).view(np.int64)[0] == expected[i]
+        assert grid.ratios()[0] == 1.0 + r_min and grid.ratios()[-1] == r_max
+
+    @pytest.mark.parametrize("r_min", [1e-6, 0.1, 1e-12])
+    def test_refined_chunks_are_the_refined_grid(self, r_min):
+        # at r_min = 1e-12 the 100 near points interleave with the grid
+        grid = GridSpec(r_min=r_min, n=10_000)
+        near = np.geomspace(1.0 + 1e-12, 1.0 + 1e-6, 100, endpoint=False)
+        far = np.geomspace(grid.r_max, grid.r_max * 1e4, 100)
+        expected = np.unique(np.concatenate([near, grid.ratios(), far]))
+        assert np.array_equal(refined_ratios(grid), expected)
+        for size in (7, 300, 4096, 10_000):
+            parts = [refined_ratios(grid, lo, min(lo + size, grid.n)) for lo in range(0, grid.n, size)]
+            assert np.array_equal(np.concatenate(parts), expected), size
+        singles = [refined_ratios(grid, i, i + 1) for i in range(50)]
+        assert np.array_equal(np.concatenate([*singles, refined_ratios(grid, 50)]), expected)
 
 
 class TestSharpness:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -35,8 +36,11 @@ def chunked(monkeypatch, chunk_points, workers):
     monkeypatch.setattr(chains, "_worker_count", lambda chunks: min(chunks, workers))
 
 
-def chunk_sizes(points, chunk_points):
-    return [min(chunk_points, points - start) for start in range(0, points, chunk_points)]
+def chunk_bounds(points, chunk_points):
+    """The balanced plan on one worker: ceil(points / chunk_points) chunks of
+    ceil(points / chunks) points each, the last one shorter."""
+    size = -(-points // -(-points // chunk_points))
+    return [(lo, min(lo + size, points)) for lo in range(0, points, size)]
 
 
 class TestEval:
@@ -109,6 +113,28 @@ class TestVerify:
     def test_guard_out_of_range_exit_2(self, run):
         assert run("verify", "--guard", "1e-3")[0] == 2
         assert run("verify", "--guard", "0")[0] == 2
+
+    @pytest.mark.parametrize("command", ["verify", "conjecture"])
+    @pytest.mark.parametrize("r_max", ["inf", "nan"])
+    def test_non_finite_grid_max_exit_2(self, run, command, r_max):
+        rc, _, err = run(command, "--grid-max", r_max, "--points", "100")
+        assert rc == 2 and "r_max" in err
+
+    def test_refined_tail_overflow_exit_2(self, run):
+        # 1e306 is a valid grid bound, but the refined grid runs to r_max*1e4
+        rc, _, err = run("verify", "--grid-max", "1e306", "--points", "100")
+        assert rc == 2 and "r_max*1e4" in err
+        assert run("conjecture", "--grid-max", "1e306", "--points", "100")[0] == 0
+
+    def test_overflowing_links_raise_no_warning(self, run):
+        # at a/b up to 1e300 both sides of some links overflow to inf; the
+        # scan reports them and the probe stage then fails to evaluate A*X
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _, err = run("verify", "--grid-max", "1e300", "--points", "100")
+            assert rc == 1 and err.startswith("check failed: invalid operand")
+            rc, out, _ = run("conjecture", "--grid-max", "1e300", "--points", "100")
+            assert rc == 0 and json.loads(out)["sign"] == "zero"
 
     def test_chain_selection(self, run):
         rc, out, _ = run("verify", *FAST_VERIFY, "--chains", "T11-1")
@@ -187,10 +213,10 @@ class TestSharedGridContext:
         assert nested == Counter({("L", 2000): len(nested_texts)})
 
     def test_each_mean_computed_once_per_chunk(self, monkeypatch, tmp_path):
-        # 2000 chain-stage points and 2199 refined points, in chunks of 512:
-        # every kernel call sees one chunk, and each chunk's context computes
-        # a mean once however many chains use it (one worker: the counters
-        # are not locked)
+        # 2000 chain-stage points in 4 chunks of 500; a refined chunk is a grid
+        # chunk plus the extra points in its range.  Every kernel call sees
+        # one chunk, and each chunk's context computes a mean once however
+        # many chains use it (one worker: the counters are not locked)
         chunked(monkeypatch, 512, 1)
         builtin_suite()  # its sanity check's context is not part of the count
         calls = Counter()
@@ -204,15 +230,15 @@ class TestSharedGridContext:
             def counted(a, b, **kwargs):
                 size = np.broadcast(np.asarray(a), np.asarray(b)).size
                 sizes.append(size)
-                if not np.ndim(b):  # a mean of the grid's pairs, not of subexpressions
-                    calls[kind.label(), size, float(np.ravel(a)[0])] += 1
+                if not np.ndim(b):  # a mean of a chunk's pairs, not of subexpressions
+                    calls[kind.label(), size, id(kwargs["pair"])] += 1
                 return kernel(a, b, **kwargs)
 
             return counted
 
         class CountingPair(means.Pair):
             def __init__(self, a, b):
-                pairs.append(np.ndim(b))
+                pairs.append((np.ndim(b), self))  # kept alive, so their ids stay distinct
                 super().__init__(a, b)
 
         monkeypatch.setattr(means, "mean_kernel", counting_kernel)
@@ -220,17 +246,19 @@ class TestSharedGridContext:
         out = tmp_path / "report.json"
         rc = main(["verify", "--grid-min", "0.1", "--points", "2000", "--out", str(out)])
         assert rc == 0
-        assert max(sizes) <= 512
+        assert max(sizes) <= 512 + 200
         assert max(calls.values()) == 1, calls.most_common(3)
-        refined = refined_ratios(GridSpec(r_min=0.1, n=2000)).size
-        contexts = chunk_sizes(2000, 512) + chunk_sizes(refined, 512)
+        grid = GridSpec(r_min=0.1, n=2000)
+        bounds = chunk_bounds(2000, 512)
+        contexts = [hi - lo for lo, hi in bounds]
+        contexts += [refined_ratios(grid, lo, hi).size for lo, hi in bounds]
         g_sizes = sorted(size for kind, size, _ in calls if kind == "G")
         assert g_sizes == sorted(contexts)
         # one validated pair per chunk context, shared by all its kernels, and
         # one per nested L(X, A) call, whose operands are computed arrays
         nested_texts = [t for c in builtin_suite() for t in c.member_texts if "L(X, A)" in t]
-        nested = len(nested_texts) * len(chunk_sizes(2000, 512))
-        assert Counter(pairs) == Counter({0: len(contexts), 1: nested})
+        nested = len(nested_texts) * len(chunk_bounds(2000, 512))
+        assert Counter(ndim for ndim, _ in pairs) == Counter({0: len(contexts), 1: nested})
 
     @pytest.mark.parametrize("chunk_points, pools", [(1 << 16, 0), (512, 2)])
     def test_thread_pool_only_for_several_chunks(self, monkeypatch, tmp_path, chunk_points, pools):
