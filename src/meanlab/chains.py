@@ -43,7 +43,7 @@ DEFAULT_MARGIN_GUARD = 1e-13
 CHUNK_POINTS = 1 << 16
 
 _NC = _ratios_mod.named_constants()
-_ALPHA = 2.0 / 3.0
+_ALPHA = _NC["alpha"].value
 _BETA = _NC["beta"].value
 _BETA1 = _NC["beta1"].value
 _BETA2 = _NC["beta2"].value
@@ -687,14 +687,17 @@ class ProbeOutcome:
     epsilon: float
     violated: bool
     pair: tuple[float, float] | None
-    worst_margin: float
+    worst_margin: float | None
+    error: str | None = None
 
     @property
     def label(self) -> str:
+        if self.error is not None:
+            return "error"
         return "violation_found" if self.violated else "still_holds"
 
     def as_dict(self) -> dict:
-        return {
+        row = {
             "chain": self.chain_id,
             "constant": self.constant,
             "direction": self.direction,
@@ -703,6 +706,9 @@ class ProbeOutcome:
             "pair": list(self.pair) if self.pair else None,
             "worst_margin": self.worst_margin,
         }
+        if self.error is not None:
+            row["error"] = self.error
+        return row
 
 
 def _run_probes(templates, epsilon: float, grid: GridSpec, margin_guard: float):
@@ -712,17 +718,17 @@ def _run_probes(templates, epsilon: float, grid: GridSpec, margin_guard: float):
     )
     outcomes = []
     for tpl, links in zip(templates, minima):
+        head = (tpl.chain_id, tpl.constant, tpl.direction, epsilon)
         if isinstance(links, EvalError):
-            raise links
+            outcomes.append(ProbeOutcome(*head, False, None, None, str(links)))
+            continue
         worst, worst_ratio = math.inf, None
         for margin, ratio, _ in links:
             if margin < worst:
                 worst, worst_ratio = margin, ratio
         violated = worst < -margin_guard
         pair = (float(worst_ratio * grid.b), float(grid.b)) if violated else None
-        outcomes.append(
-            ProbeOutcome(tpl.chain_id, tpl.constant, tpl.direction, epsilon, violated, pair, worst)
-        )
+        outcomes.append(ProbeOutcome(*head, violated, pair, worst))
     return outcomes
 
 
@@ -736,7 +742,9 @@ def sharpness_probe(
 ) -> ProbeOutcome:
     """Tighten one chain constant by epsilon and hunt for a violation on the
     refined grid.  violation_found certifies the constant cannot be improved
-    by epsilon; still_holds means no resolvable counterexample.
+    by epsilon; still_holds means no resolvable counterexample; error means
+    the tightened chain could not be evaluated on the grid (the error text is
+    the outcome's error).
 
     Two probed constants are not shown sharp this way.  T24's k is a valid
     upper order but not the best one: the best order is about 0.5016276, so
@@ -805,57 +813,39 @@ def bracket_best_exponent(
     tv = np.asarray(ctx.evaluate(expr))
     if np.any(~(tv > 0.0)):
         raise DomainError("target must evaluate positive on the grid")
+    lower = side == "lower"
 
     def holds(s: float) -> bool:
         # every order reuses the grid's validated pair and its log ratio
         m = np.asarray(power_mean(a, grid.b, s, pair=ctx.pair))
-        margins = _rel_margins(m, tv) if side == "lower" else _rel_margins(tv, m)
+        margins = _rel_margins(m, tv) if lower else _rel_margins(tv, m)
         return float(np.min(margins)) > -margin_guard
 
     lo_lim, hi_lim = search_range
     steps = [float(s) for s in np.arange(math.floor(lo_lim), math.ceil(hi_lim) + 1)]
-    flags = {}
-
-    def cached(s: float) -> bool:
-        if s not in flags:
-            flags[s] = holds(s)
-        return flags[s]
-
-    holding = [s for s in steps if cached(s)]
-    failing = [s for s in steps if not flags[s]]
-    if not holding:
+    flags = [holds(s) for s in steps]
+    if not any(flags):
         raise DomainError(f"no integer exponent in {search_range} satisfies the {side} relation")
-    if not failing:
+    if all(flags):
         raise DomainError(f"the {side} relation never breaks inside {search_range}")
-    # Monotone predicate: holding exponents form one contiguous run at the
-    # small end (lower side) or the large end (upper side).
-    ordered = [flags[s] for s in steps]
-    expected = sorted(ordered, reverse=(side == "lower"))
-    if ordered != expected:
+    # The relation holds below the critical order on the lower side and above
+    # it on the upper side; a monotone predicate puts every step below that
+    # order in one run at the small end.
+    below = flags if lower else [not f for f in flags]
+    if below != sorted(below, reverse=True):
         raise NonMonotonePredicateError(
-            f"predicate not monotone over integer scan {steps}: {ordered}"
+            f"predicate not monotone over integer scan {steps}: {flags}"
         )
-
-    if side == "lower":
-        s_true, s_false = max(holding), min(s for s in failing if s > max(holding))
-    else:
-        s_true, s_false = min(holding), max(s for s in failing if s < min(holding))
-    lo, hi = (s_true, s_false) if side == "lower" else (s_false, s_true)
-    # invariant for lower: holds(lo) and not holds(hi); for upper the reverse
+    k = below.count(True)
+    lo, hi = steps[k - 1], steps[k]
+    # invariant: lo is below the critical order and hi is not
     while abs(hi - lo) > tolerance:
         mid = 0.5 * (lo + hi)
-        ok = holds(mid)
-        if side == "lower":
-            if ok:
-                lo = mid
-            else:
-                hi = mid
+        if holds(mid) == lower:
+            lo = mid
         else:
-            if ok:
-                hi = mid
-            else:
-                lo = mid
-    return lo if side == "lower" else hi
+            hi = mid
+    return lo if lower else hi
 
 
 def conjecture_margin_expr() -> tuple[MeanExpr, MeanExpr]:
@@ -891,7 +881,8 @@ def conjecture_scan(grid: GridSpec | None = None) -> ConjectureReport:
     if isinstance(links, EvalError):
         raise links
     [(m, ratio, difference)] = links
-    sign = "positive" if m > 0 else ("negative" if m < 0 else "zero")
+    # a NaN minimum (both products overflow there) fails every comparison
+    sign = "positive" if m > 0 else "negative" if m < 0 else "zero" if m == 0 else "undefined"
     return ConjectureReport(
         min_margin=m,
         min_difference=difference,

@@ -168,13 +168,11 @@ def _cmd_limit(args) -> int:
     endpoints = ["zero", "half_pi"] if args.endpoint == "both" else [args.endpoint]
     for ep in endpoints:
         est = ratios.endpoint_limit(fn, ep)
-        line = f"{fn.value} @ {ep}: {_fmt(est)}"
-        try:
-            target = ratios.limit_target(fn, ep)
-            line += f" (closed form {_fmt(target)}, abs error {abs(est - target):.3e})"
-        except DomainError:
-            pass
-        print(line)
+        target = ratios.limit_target(fn, ep)
+        print(
+            f"{fn.value} @ {ep}: {_fmt(est)}"
+            f" (closed form {_fmt(target)}, abs error {abs(est - target):.3e})"
+        )
     return 0
 
 
@@ -240,9 +238,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_grid(p):
-        p.add_argument("--grid-min", type=float, default=1e-6, help="r_min: a starts at 1+r_min")
-        p.add_argument("--grid-max", type=float, default=1e8, help="largest ratio a/b")
-        p.add_argument("--points", type=int, default=10_000, help="grid size")
+        p.add_argument(
+            "--grid-min", type=float, default=GridSpec.r_min, help="r_min: a starts at 1+r_min"
+        )
+        p.add_argument("--grid-max", type=float, default=GridSpec.r_max, help="largest ratio a/b")
+        p.add_argument("--points", type=int, default=GridSpec.n, help="grid size")
 
     p = sub.add_parser("eval", help="evaluate a mean or expression at one pair")
     p.add_argument("--a", type=float, required=True)
@@ -266,8 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("function", help="ratio function name or expression")
     p.add_argument("samples_pos", type=int, nargs="?", default=None, metavar="samples")
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--grid-min", type=float, default=1e-6)
-    p.add_argument("--grid-max", type=float, default=1e8)
+    p.add_argument("--grid-min", type=float, default=GridSpec.r_min)
+    p.add_argument("--grid-max", type=float, default=GridSpec.r_max)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(fn=_cmd_emit)
 

@@ -26,7 +26,7 @@ takes it whole.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -503,6 +503,7 @@ class MeanKind:
 
 PLAIN_KINDS = {tag: MeanKind(tag) for tag in _PLAIN_TAGS}
 
+#: The plain means' kernels, in the order of MeanVector's fields.
 _KERNELS = {
     "A": arithmetic,
     "G": geometric,
@@ -545,31 +546,11 @@ class MeanVector:
     y_mean: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "A": self.arithmetic,
-            "G": self.geometric,
-            "H": self.harmonic,
-            "L": self.logarithmic,
-            "I": self.identric,
-            "P": self.seiffert,
-            "X": self.x_mean,
-            "Y": self.y_mean,
-        }
+        means = fields(self)[2:]  # in the order of _KERNELS
+        return {tag: getattr(self, f.name) for tag, f in zip(_KERNELS, means)}
 
 
 def eval_all(pair: PositivePair) -> MeanVector:
     point = None if pair.a == pair.b else param_point(pair)
-    a, b = pair.a, pair.b
-    shared = Pair(a, b)
-    return MeanVector(
-        pair=pair,
-        point=point,
-        arithmetic=arithmetic(a, b, pair=shared),
-        geometric=geometric(a, b, pair=shared),
-        harmonic=harmonic(a, b, pair=shared),
-        logarithmic=logarithmic(a, b, pair=shared),
-        identric=identric(a, b, pair=shared),
-        seiffert=seiffert(a, b, pair=shared),
-        x_mean=x_mean(a, b, pair=shared),
-        y_mean=y_mean(a, b, pair=shared),
-    )
+    shared = Pair(pair.a, pair.b)
+    return MeanVector(pair, point, *(fn(pair.a, pair.b, pair=shared) for fn in _KERNELS.values()))

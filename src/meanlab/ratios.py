@@ -16,8 +16,10 @@ Everything is evaluated through the cancellation-free series kernels, so the
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -86,9 +88,7 @@ def cusa_aux_margin(x):
     return float(out) if scalar else out
 
 
-_GAP_DEV_COEFFS: np.ndarray | None = None
-
-
+@functools.cache
 def _seiffert_gap_dev_coeffs() -> np.ndarray:
     """Exact z^k coefficients (z = x^2, k >= 3) of
     sin(x)/x - cos(x) + expm1(x cot x - 1).
@@ -97,29 +97,24 @@ def _seiffert_gap_dev_coeffs() -> np.ndarray:
     tangent to 1 through x^4), leaving x^6/3240 as the leading deviation.
     Built once in exact rationals via exp-of-series composition.
     """
-    global _GAP_DEV_COEFFS
-    if _GAP_DEV_COEFFS is None:
-        from fractions import Fraction
-
-        n = series.DEFAULT_TERMS
-        c = series.series_coefficients(series.SeriesKind.X_COT_X, n)
-        w = [Fraction(0)] + [-ci for ci in c]  # W(z) = sum w_j z^j, x cot x - 1
-        e = [Fraction(1)] + [Fraction(0)] * n  # exp(W)
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += j * w[j] * e[k - j]
-            e[k] = acc / k
-        g = []
-        for k in range(n + 1):
-            sinc_k = Fraction((-1) ** k, math.factorial(2 * k + 1))
-            cos_k = Fraction((-1) ** k, math.factorial(2 * k))
-            g.append(sinc_k - cos_k + e[k])
-        g[0] -= 1  # expm1, not exp: drop the constant term of E
-        assert g[0] == 0 and g[1] == 0 and g[2] == 0
-        assert g[3] == Fraction(1, 3240)
-        _GAP_DEV_COEFFS = np.array([float(v) for v in g[3:]])
-    return _GAP_DEV_COEFFS
+    n = series.DEFAULT_TERMS
+    c = series.series_coefficients(series.SeriesKind.X_COT_X, n)
+    w = [Fraction(0)] + [-ci for ci in c]  # W(z) = sum w_j z^j, x cot x - 1
+    e = [Fraction(1)] + [Fraction(0)] * n  # exp(W)
+    for k in range(1, n + 1):
+        acc = Fraction(0)
+        for j in range(1, k + 1):
+            acc += j * w[j] * e[k - j]
+        e[k] = acc / k
+    g = []
+    for k in range(n + 1):
+        sinc_k = Fraction((-1) ** k, math.factorial(2 * k + 1))
+        cos_k = Fraction((-1) ** k, math.factorial(2 * k))
+        g.append(sinc_k - cos_k + e[k])
+    g[0] -= 1  # expm1, not exp: drop the constant term of E
+    assert g[0] == 0 and g[1] == 0 and g[2] == 0
+    assert g[3] == Fraction(1, 3240)
+    return np.array([float(v) for v in g[3:]])
 
 
 def seiffert_gap_deviation(x):
@@ -127,11 +122,7 @@ def seiffert_gap_deviation(x):
     xs = _check_open_interval(x)
     scalar = xs.ndim == 0
     z = xs * xs
-    coeffs = _seiffert_gap_dev_coeffs()
-    acc = np.zeros_like(z)
-    for v in coeffs[::-1]:
-        acc = acc * z + v
-    numer = z * z * z * acc
+    numer = z * z * z * series._poly_in_x2(_seiffert_gap_dev_coeffs(), z)
     w = series.xcotx_minus_one(xs)
     den = np.cos(xs) - np.expm1(w)
     out = numer / den

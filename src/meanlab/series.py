@@ -18,6 +18,7 @@ alternates: the hyperbolic ones need B_2n = (-1)^(n+1) |B_2n|).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -119,20 +120,9 @@ def series_coefficients(
     return out
 
 
-_FLOAT_COEFFS: dict[SeriesKind, np.ndarray] = {}
-
-
+@functools.cache
 def _float_coeffs(kind: SeriesKind, terms: int) -> np.ndarray:
-    if terms < 1:
-        raise DomainError("terms must be >= 1")
-    if terms > _TABLE.limit:
-        raise DomainError(f"terms={terms} exceeds Bernoulli table limit {_TABLE.limit}")
-    cached = _FLOAT_COEFFS.get(kind)
-    if cached is None:
-        full = series_coefficients(kind, _TABLE.limit)
-        cached = np.array([float(c) for c in full])
-        _FLOAT_COEFFS[kind] = cached
-    return cached[:terms]
+    return np.array([float(c) for c in series_coefficients(kind, terms)])
 
 
 def _poly_in_x2(coeffs: np.ndarray, x2):
@@ -231,20 +221,13 @@ def ycothy_minus_one(y, terms: int = DEFAULT_TERMS):
     return float(out) if ys.ndim == 0 else out
 
 
-_TANH_COEFFS: np.ndarray | None = None
-
-
+@functools.cache
 def _tanh_coeffs() -> np.ndarray:
-    # tanh(y) = sum_{n>=1} 4^n (4^n - 1) B_2n y^(2n-1) / (2n)!
-    global _TANH_COEFFS
-    if _TANH_COEFFS is None:
-        vals = []
-        for n in range(1, _TABLE.limit + 1):
-            sign = 1 if n % 2 == 1 else -1
-            c = Fraction(4**n * (4**n - 1), math.factorial(2 * n))
-            vals.append(float(sign * c * _TABLE.abs_value(n)))
-        _TANH_COEFFS = np.array(vals)
-    return _TANH_COEFFS
+    # tanh(y) = sum_{n>=1} 4^n (4^n - 1) B_2n y^(2n-1) / (2n)!, B_2n = (-1)^(n+1) |B_2n|
+    return np.array([
+        float((-1) ** (n + 1) * Fraction(4**n * (4**n - 1), math.factorial(2 * n)) * b)
+        for n, b in enumerate(_TABLE.exact, start=1)
+    ])
 
 
 def tanh_over_y_minus_one(y, terms: int = 12):
@@ -256,22 +239,23 @@ def tanh_over_y_minus_one(y, terms: int = 12):
     if np.any(np.abs(ys) >= math.pi / 2):
         raise SeriesDomainError("tanh_over_y_minus_one requires |y| < pi/2")
     y2 = ys * ys
-    c = _tanh_coeffs()[1 : terms + 1]  # drop n=1 (the leading y/y = 1)
-    acc = np.zeros_like(y2)
-    for v in c[::-1]:
-        acc = acc * y2 + v
-    out = y2 * acc
+    # drop n=1 (the leading y/y = 1)
+    out = y2 * _poly_in_x2(_tanh_coeffs()[1 : terms + 1], y2)
     return float(out) if ys.ndim == 0 else out
+
+
+@functools.cache
+def _sinh_coeffs(terms: int) -> np.ndarray:
+    # 1/(2k+1)! for k = 1..terms, rounded from the float quotient:
+    # float(Fraction(1, (2k+1)!)) differs from it in the last bit for some k
+    return np.array([1.0 / math.factorial(2 * k + 1) for k in range(1, terms + 1)])
 
 
 def sinh_over_y(y, terms: int = 10):
     """sinh(y)/y = sum y^(2k)/(2k+1)!; entire, used for small |y|."""
     ys = np.asarray(y, dtype=float)
     y2 = ys * ys
-    acc = np.zeros_like(y2)
-    for k in range(terms, 0, -1):
-        acc = acc * y2 + 1.0 / math.factorial(2 * k + 1)
-    out = 1.0 + y2 * acc
+    out = 1.0 + y2 * _poly_in_x2(_sinh_coeffs(terms), y2)
     return float(out) if ys.ndim == 0 else out
 
 

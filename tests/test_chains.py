@@ -18,7 +18,7 @@ from meanlab.chains import (
     sharpness_probe,
     verify_chain,
 )
-from meanlab.errors import ConfigError, DomainError
+from meanlab.errors import ConfigError, DomainError, NonMonotonePredicateError
 from meanlab.expressions import evaluate
 
 import oracles
@@ -450,6 +450,41 @@ class TestBracketing:
         with pytest.raises(DomainError):
             bracket_best_exponent("G - A", "lower", 1e-3)  # not positive
 
+    def test_no_order_below_half_the_harmonic_mean(self):
+        # M_-8 tends to 2^(1/8) b > H/2 as a/b grows, so no order lies below H/2
+        with pytest.raises(DomainError) as err:
+            bracket_best_exponent("H/2", "lower", 1e-3)
+        assert str(err.value) == (
+            "no integer exponent in (-8.0, 8.0) satisfies the lower relation"
+        )
+
+    def test_every_order_above_half_the_harmonic_mean(self):
+        with pytest.raises(DomainError) as err:
+            bracket_best_exponent("H/2", "upper", 1e-3)
+        assert str(err.value) == "the upper relation never breaks inside (-8.0, 8.0)"
+
+    @pytest.mark.parametrize(
+        "side, flags",
+        [
+            # X lies between M_0 and M_1: below it up to order 0, above it from 1
+            ("lower", [True] * 9 + [False, False, True] + [False] * 5),
+            ("upper", [False] * 9 + [True, True, False] + [True] * 5),
+        ],
+    )
+    def test_non_monotone_predicate(self, monkeypatch, side, flags):
+        # shrinking M_3 tenfold puts it below X: order 3 flips on either side
+        real = chains.power_mean
+
+        def shrunk(a, b, p, **kw):
+            m = real(a, b, p, **kw)
+            return 0.1 * m if p == 3.0 else m
+
+        monkeypatch.setattr(chains, "power_mean", shrunk)
+        steps = [float(s) for s in range(-8, 9)]
+        with pytest.raises(NonMonotonePredicateError) as err:
+            bracket_best_exponent("X", side, 1e-3)
+        assert str(err.value) == f"predicate not monotone over integer scan {steps}: {flags}"
+
 
 class TestConjecture:
     def test_scan_reports_unresolved(self):
@@ -469,6 +504,12 @@ class TestConjecture:
         report = conjecture_scan(GridSpec(r_min=0.1, r_max=1e8, n=4000))
         assert report.sign == "positive"
         assert report.min_margin > 0
+
+    def test_overflowing_minimum_is_undefined(self):
+        # past a/b ~ 1e154 both P*X and I*L overflow, and the minimum is NaN
+        report = conjecture_scan(GridSpec(r_max=1e300, n=100))
+        assert math.isnan(report.min_margin)
+        assert report.sign == "undefined"
 
 
 class TestNonComparability:

@@ -128,13 +128,33 @@ class TestVerify:
 
     def test_overflowing_links_raise_no_warning(self, run):
         # at a/b up to 1e300 both sides of some links overflow to inf; the
-        # scan reports them and the probe stage then fails to evaluate A*X
+        # scan reports them and T26's probes fail to evaluate A*X
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc, _, err = run("verify", "--grid-max", "1e300", "--points", "100")
-            assert rc == 1 and err.startswith("check failed: invalid operand")
+            rc, out, err = run("verify", "--grid-max", "1e300", "--points", "100")
+            assert rc == 1 and err == "" and json.loads(out)["overall_pass"] is False
             rc, out, _ = run("conjecture", "--grid-max", "1e300", "--points", "100")
-            assert rc == 0 and json.loads(out)["sign"] == "zero"
+            assert rc == 0 and json.loads(out)["sign"] == "undefined"
+
+    def test_probe_error_has_its_own_row(self, run, tmp_path):
+        out_path = tmp_path / "r.json"
+        rc, out, err = run(
+            "verify", "--grid-max", "1e300", "--points", "100", "--out", str(out_path)
+        )
+        assert rc == 1 and out == "" and err == ""
+        doc = json.loads(out_path.read_text())
+        assert sum(1 for c in doc["chains"] if c["error"]) == 10
+        failed = {r["constant"]: r for r in doc["sharpness"] if "error" in r}
+        assert sorted(failed) == ["alpha2", "beta2"]
+        for row in failed.values():
+            assert row["chain"] == "T26" and row["outcome"] == "error"
+            assert row["error"].startswith("invalid operand in subexpression '((A * X) ^")
+            assert row["pair"] is None and row["worst_margin"] is None
+        assert all(
+            r["outcome"] in ("violation_found", "still_holds")
+            for r in doc["sharpness"]
+            if "error" not in r
+        )
 
     def test_chain_selection(self, run):
         rc, out, _ = run("verify", *FAST_VERIFY, "--chains", "T11-1")

@@ -254,6 +254,7 @@ class TestDualRoutes:
             (M.seiffert_direct, M.seiffert_param),
             (M.x_mean_direct, M.x_mean_param),
             (M.identric_direct, M.identric_param),
+            (M.y_mean_direct, M.y_mean),
         ],
     )
     def test_routes_agree(self, direct, param):
