@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,17 +30,21 @@ from .errors import (
     EvalError,
     NonMonotonePredicateError,
 )
-from .expressions import GridContext, MeanExpr, parse_expr
+from .expressions import GridContext, MeanExpr, Workspace, cached_reads, parse_expr
 from .means import power_mean
 
 DEFAULT_MARGIN_GUARD = 1e-13
 
 #: Grid points per chunk, at most (a chunk of the refined grid adds the extra
-#: points in its range).  Each chunk is evaluated on its own context.  On the
-#: chain suite that context caches about 28 arrays of the chunk's size: the
-#: ratios, the pairs, the means and their offsets.  At 50 000 points they take
-#: some 11 MB, and a chunk's scan peaks near 15 MB, well past a core's L2
-#: cache.  Memory grows with the chunk size and the core count, not the grid.
+#: points in its range).  Each chunk is evaluated on its own context, whose
+#: arrays are buffers of the chunk's size lent by its worker's workspace: the
+#: pairs' quantities, each mean and offset until the last member that reads it
+#: is dropped, each member's values until its last link, and the margins.  On
+#: the chain suite a worker holds at most 25 of them, 10 MB at 50 000 points
+#: and well past a core's L2 cache.  The workspace allocates them once per
+#: stage, so their pages are faulted in once per worker and stage, not once
+#: per chunk.  Memory grows with the chunk size and the core count, not the
+#: grid.
 CHUNK_POINTS = 1 << 16
 
 _NC = _ratios_mod.named_constants()
@@ -214,7 +219,9 @@ class _LinkPlan:
     lists, interned once per stage as integer slots, so that a chunk
     evaluates each member and scans each link once however many lists share
     them.  Links are scanned as soon as their later member is evaluated, and
-    a member's values are dropped after the last link that reads them."""
+    a member's values are dropped after the last link that reads them, as
+    are the cached means and offsets after the last member that reads them
+    is dropped."""
 
     def __init__(self, member_lists):
         slots: dict = {}
@@ -234,36 +241,53 @@ class _LinkPlan:
             last_use[l] = max(last_use[l], step)
             last_use[r] = max(last_use[r], step)
         self.drop = [[] for _ in self.members]
+        last_read = {}
         for m, step in enumerate(last_use):
             self.drop[step].append(m)
+            for key in cached_reads(self.members[m]):
+                last_read[key] = max(last_read.get(key, 0), step)
+        self.uncache = [[] for _ in self.members]
+        for key, step in last_read.items():
+            self.uncache[step].append(key)
 
-    def scan(self, ratios: np.ndarray, b):
+    def scan(self, ratios: np.ndarray, b, workspace: Workspace | None = None):
         """Over the pairs (ratios*b, b): per link, (min margin, ratio at the
         first argmin, rhs - lhs there), or None where a member raised; and
-        the EvalError each failing member raised, by member slot."""
+        the EvalError each failing member raised, by member slot.  Every
+        array of the scan is lent by the workspace (a new one if None) and
+        given back by the end."""
         out = [None] * len(self.links)
         errors = {}
         if not ratios.size:
             return out, errors
-        ctx = GridContext(ratios * b, b)
+        workspace = Workspace() if workspace is None else workspace
+        n = ratios.size
+        a = np.multiply(ratios, b, out=workspace.take(n))
+        buffers = workspace.take(n), workspace.take(n)
         values, positive = {}, {}
-        buffers = np.empty(ratios.size), np.empty(ratios.size)
-        for s, member in enumerate(self.members):
-            try:
-                values[s] = v = np.asarray(ctx.evaluate(member))
-                positive[s] = v.min() > 0.0
-            except EvalError as exc:
-                errors[s] = exc
-            for k in self.ready[s]:
-                l, r = self.links[k]
-                if l in values and r in values:
-                    lhs, rhs = values[l], values[r]
-                    margins = _rel_margins(lhs, rhs, positive[l] and positive[r], buffers)
-                    j = int(np.argmin(margins))
-                    # as Python floats, two infinities subtract without a warning
-                    out[k] = (float(margins[j]), float(ratios[j]), float(rhs[j]) - float(lhs[j]))
-            for m in self.drop[s]:
-                values.pop(m, None)
+        with GridContext(a, b, workspace=workspace) as ctx:
+            for s, member in enumerate(self.members):
+                try:
+                    values[s] = v = np.asarray(ctx.evaluate(member))
+                    positive[s] = v.min() > 0.0
+                except EvalError as exc:
+                    # kept without its traceback, whose frames would hold the
+                    # scan's arrays for as long as the error is kept
+                    errors[s] = exc.with_traceback(None)
+                for k in self.ready[s]:
+                    l, r = self.links[k]
+                    if l in values and r in values:
+                        lhs, rhs = values[l], values[r]
+                        margins = _rel_margins(lhs, rhs, positive[l] and positive[r], buffers)
+                        j = int(np.argmin(margins))
+                        # as Python floats, two infinities subtract without a warning
+                        difference = float(rhs[j]) - float(lhs[j])
+                        out[k] = (float(margins[j]), float(ratios[j]), difference)
+                for m in self.drop[s]:
+                    ctx.release(values.pop(m, None))
+                ctx.forget(self.uncache[s])
+        for buf in (a, *buffers):
+            workspace.give(buf)
         return out, errors
 
 
@@ -317,7 +341,15 @@ def _grid_link_minima(member_lists, n: int, ratios_of, b) -> list:
     plan = _LinkPlan(member_lists)
     best = [None] * len(plan.links)
     failed = set()
-    for links, errors in _map_chunks(lambda lo, hi: plan.scan(ratios_of(lo, hi), b), n):
+    workspaces = threading.local()  # one per worker, dropped with the stage
+
+    def run(lo, hi):
+        workspace = getattr(workspaces, "workspace", None)
+        if workspace is None:
+            workspace = workspaces.workspace = Workspace()
+        return plan.scan(ratios_of(lo, hi), b, workspace)
+
+    for links, errors in _map_chunks(run, n):
         best = [_first_min(pair) for pair in zip(best, links)]
         failed.update(errors)
     whole = None

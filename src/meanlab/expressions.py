@@ -31,7 +31,7 @@ import numpy as np
 
 from . import means
 from .errors import EvalError, ParseError
-from .means import MeanKind
+from .means import _OPERATORS, MeanKind
 
 _QUIET = dict(divide="ignore", invalid="ignore", over="ignore", under="ignore")
 
@@ -240,6 +240,30 @@ def to_text(expr: MeanExpr) -> str:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+class Workspace:
+    """One worker's float64 buffers, reused from chunk to chunk.
+
+    take(n) lends a view [:n] of a free buffer, allocating a buffer of the
+    workspace's capacity when none is free; give(view) returns it.  The
+    capacity grows to the largest n asked for, and buffers of a smaller
+    capacity are then dropped.  Not thread-safe: each worker has its own."""
+
+    def __init__(self):
+        self.capacity = 0
+        self._free: list[np.ndarray] = []
+
+    def take(self, n: int) -> np.ndarray:
+        if n > self.capacity:
+            self.capacity = n
+            self._free.clear()
+        buf = self._free.pop() if self._free else np.empty(self.capacity)
+        return buf[:n]
+
+    def give(self, view: np.ndarray) -> None:
+        if view.base.size == self.capacity:
+            self._free.append(view.base)
+
+
 class GridContext:
     """One grid of pairs with a cache of mean values and relative offsets.
 
@@ -247,35 +271,130 @@ class GridContext:
     mean kernel runs once per grid however many expressions use it, and all
     of them read one validated :class:`means.Pair`.  Means applied to
     subexpressions (``L(X, A)``) are not cached and prepare their own pair.
+
+    With a :class:`Workspace`, the pair's quantities, the cached values and
+    the node results are written into buffers lent by it instead of fresh
+    arrays, and each is given back once: a node result that evaluate
+    returned by ``release``, a cached value by ``forget``, and whatever is
+    still held by ``close`` (or on leaving a ``with`` block).
     """
 
-    def __init__(self, a, b):
+    def __init__(self, a, b, workspace: Workspace | None = None):
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self._pair = None
-        self._mean_cache: dict[MeanKind, np.ndarray] = {}
-        self._rel_cache: dict[MeanKind, np.ndarray] = {}
+        self._cache: dict[tuple[str, MeanKind], np.ndarray] = {}
+        self._workspace = workspace
+        if workspace is not None:
+            self._shape = np.broadcast(self.a, self.b).shape
+            self._pair_buffers: list[np.ndarray] = []
+            self._results: dict[int, np.ndarray] = {}  # node results, by id
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def _lend(self):
+        """A buffer of the grid's shape from the workspace."""
+        return self._workspace.take(math.prod(self._shape)).reshape(self._shape)
+
+    def _lender(self, held: list):
+        """An alloc for means.Pair: it lends a buffer and records it in held."""
+
+        def alloc():
+            held.append(self._lend())
+            return held[-1]
+
+        return alloc
+
+    def release(self, value) -> None:
+        """Give back the buffer of a node result that evaluate returned; any
+        other value (a cached mean, a constant, None) is left alone."""
+        if self._workspace is not None:
+            buf = self._results.pop(id(value), None)
+            if buf is not None:
+                self._workspace.give(buf)
+
+    def forget(self, keys) -> None:
+        """Drop the cached values of these keys (as from cached_reads) and
+        give back their buffers; a value read again is computed again."""
+        for key in keys:
+            got = self._cache.pop(key, None)
+            if got is not None and self._workspace is not None:
+                self._workspace.give(got)
+
+    def close(self) -> None:
+        """Give back every buffer still held and forget what they cached."""
+        if self._workspace is not None:
+            for buf in [*self._pair_buffers, *self._cache.values(), *self._results.values()]:
+                self._workspace.give(buf)
+            self._pair_buffers.clear()
+            self._results.clear()
+        self._pair = None
+        self._cache.clear()
+
+    def _apply(self, fn, *args):
+        """fn(*args) as a node result, for a ufunc or a function that reads
+        its operands before writing its output.  With a workspace and an
+        array operand, it is written over the first operand that is a node
+        result, or else into a newly lent buffer, and the other node-result
+        operands are given back."""
+        if self._workspace is None or not any(np.ndim(x) for x in args):
+            return _OPERATORS.get(fn, fn)(*args)
+        owned = [x for x in args if id(x) in self._results]
+        if owned:
+            out = owned[0]
+        else:
+            out = self._lend()
+            self._results[id(out)] = out
+        fn(*args, out=out)
+        for x in owned[1:]:
+            self.release(x)
+        return out
+
+    def _nested_mean(self, kind: MeanKind, u, v):
+        """The mean of computed operands (as in ``L(X, A)``) as a node
+        result.  Its pair is prepared for this call alone, and with a
+        workspace the pair's quantities are lent for the call."""
+        kernel = means.mean_kernel(kind)
+        if self._workspace is None:
+            return kernel(u, v)
+        lent = []
+        pair = means.Pair(u, v, alloc=self._lender(lent))
+        out = self._apply(functools.partial(kernel, pair=pair), u, v)
+        for buf in lent:
+            self._workspace.give(buf)
+        return out
 
     @property
     def pair(self) -> means.Pair:
         """The grid's pairs, validated and canonicalized once for every
         kernel (on first use, so a grid that no mean reads is not checked)."""
         if self._pair is None:
-            self._pair = means.Pair(self.a, self.b)
+            alloc = None if self._workspace is None else self._lender(self._pair_buffers)
+            self._pair = means.Pair(self.a, self.b, alloc=alloc)
         return self._pair
 
     def mean(self, kind: MeanKind):
-        got = self._mean_cache.get(kind)
-        if got is None:
-            got = np.asarray(means.mean_kernel(kind)(self.a, self.b, pair=self.pair))
-            self._mean_cache[kind] = got
-        return got
+        got = self._cache.get(("mean", kind))
+        return self._compute(("mean", kind), means.mean_kernel(kind)) if got is None else got
 
     def rel(self, kind: MeanKind):
-        got = self._rel_cache.get(kind)
+        got = self._cache.get(("rel", kind))
         if got is None:
-            got = np.asarray(means.rel_to_arithmetic(kind, self.a, self.b, pair=self.pair))
-            self._rel_cache[kind] = got
+            kernel = functools.partial(means.rel_to_arithmetic, kind)
+            got = self._compute(("rel", kind), kernel)
+        return got
+
+    def _compute(self, key, kernel):
+        out = None if self._workspace is None else self._lend()
+        got = kernel(self.a, self.b, pair=self.pair, out=out)
+        # a scalar pair's value is held as a numpy scalar, on which the
+        # expression's arithmetic is some 20 times cheaper than on a 0-d array
+        got = np.float64(got) if isinstance(got, float) else np.asarray(got)
+        self._cache[key] = got
         return got
 
     def first_bad_pair(self, mask):
@@ -287,9 +406,10 @@ class GridContext:
     def evaluate(self, expr: MeanExpr):
         """Evaluate over this context's pairs: a float for a scalar pair,
         otherwise an array of the grid's shape."""
-        out = np.asarray(_eval(expr, self), dtype=float)
+        value = _eval(expr, self)
         if self.a.ndim == 0 and self.b.ndim == 0:
-            return float(out if out.ndim == 0 else out[()])
+            return float(value)
+        out = np.asarray(value, dtype=float)
         if out.ndim == 0:  # constant expression over an array grid
             return np.full(np.broadcast(self.a, self.b).shape, float(out))
         return out
@@ -316,6 +436,59 @@ def _guard(ctx: GridContext, node: MeanExpr, values, condition_bad):
     return values
 
 
+def _offset_form(node: MeanExpr):
+    """(form, kind1, kind2) when node is computed from its means' offsets to
+    A: ``log(M1/M2)``, ``M1 - M2``, ``1 - M1/M2`` or ``M1/M2 - 1`` of mean
+    symbols.  Else None."""
+    if isinstance(node, Call) and node.fn == "log":
+        ratio = _mean_ratio(node.arg)
+        return None if ratio is None else ("log", *ratio)
+    if isinstance(node, BinOp) and node.op == "-":
+        if isinstance(node.lhs, MeanSymbol) and isinstance(node.rhs, MeanSymbol):
+            return "difference", node.lhs.kind, node.rhs.kind
+        ratio = _mean_ratio(node.rhs)
+        if _is_one(node.lhs) and ratio is not None:
+            return ("one_minus", *ratio)
+        ratio = _mean_ratio(node.lhs)
+        if ratio is not None and _is_one(node.rhs):
+            return ("minus_one", *ratio)
+    return None
+
+
+def cached_reads(node: MeanExpr) -> set:
+    """The cached values that evaluating node reads: ("mean", kind) for a
+    mean of the grid's pairs and ("rel", kind) for its offset to A."""
+    form = _offset_form(node)
+    if form is not None:
+        reads = {("rel", form[1]), ("rel", form[2])}
+        if form[0] == "difference":
+            reads.add(("mean", means.PLAIN_KINDS["A"]))
+        return reads
+    if isinstance(node, MeanSymbol):
+        return {("mean", node.kind)}
+    children = [getattr(node, f) for f in ("lhs", "rhs", "arg") if hasattr(node, f)]
+    return set().union(*(cached_reads(c) for c in children))
+
+
+def _eval_offset_form(ctx: GridContext, form: str, kind1: MeanKind, kind2: MeanKind):
+    if form == "difference":
+        a_mean = ctx.mean(means.PLAIN_KINDS["A"])
+        diff = ctx._apply(np.subtract, ctx.rel(kind1), ctx.rel(kind2))
+        return ctx._apply(np.multiply, a_mean, diff)
+    # M1/M2 - 1 = (r1 - r2)/(1 + r2), which keeps its relative accuracy as
+    # M1/M2 -> 1
+    r1, r2 = ctx.rel(kind1), ctx.rel(kind2)
+    offset = ctx._apply(np.divide, ctx._apply(np.subtract, r1, r2), ctx._apply(np.add, 1.0, r2))
+    if form == "log":
+        return ctx._apply(np.log1p, offset)
+    if form == "one_minus":
+        return ctx._apply(np.negative, offset)
+    return offset
+
+
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+
+
 def _eval(node: MeanExpr, ctx: GridContext):
     if isinstance(node, Num):
         return np.float64(node.value)
@@ -323,57 +496,37 @@ def _eval(node: MeanExpr, ctx: GridContext):
         return np.float64(_CONSTANTS[node.name])
     if isinstance(node, MeanSymbol):
         return ctx.mean(node.kind)
+    # only a log or a difference can take an offset form
+    if getattr(node, "fn", None) == "log" or getattr(node, "op", None) == "-":
+        form = _offset_form(node)
+        if form is not None:
+            return _eval_offset_form(ctx, *form)
     if isinstance(node, Call):
-        if node.fn == "log":
-            ratio = _mean_ratio(node.arg)
-            if ratio is not None:
-                r1, r2 = ctx.rel(ratio[0]), ctx.rel(ratio[1])
-                return np.log1p((r1 - r2) / (1.0 + r2))
-            arg = _eval(node.arg, ctx)
-            _guard(ctx, node, arg, ~(np.asarray(arg) > 0.0))
-            return np.log(arg)
         arg = _eval(node.arg, ctx)
+        if node.fn == "log":
+            _guard(ctx, node, arg, ~(np.asarray(arg) > 0.0))
+            return ctx._apply(np.log, arg)
         if node.fn == "exp":
             with np.errstate(**_QUIET):
-                out = np.exp(arg)
+                out = ctx._apply(np.exp, arg)
             return _guard(ctx, node, out, ~np.isfinite(np.asarray(out)))
         # sqrt
         _guard(ctx, node, arg, np.asarray(arg) < 0.0)
-        return np.sqrt(arg)
+        return ctx._apply(np.sqrt, arg)
     if isinstance(node, MeanCall):
         u = _eval(node.lhs, ctx)
         v = _eval(node.rhs, ctx)
         bad = ~((np.asarray(u) > 0.0) & (np.asarray(v) > 0.0))
         _guard(ctx, node, None, bad)
-        return np.asarray(means.mean_kernel(node.kind)(u, v))
+        return np.asarray(ctx._nested_mean(node.kind, u, v))
     if isinstance(node, BinOp):
-        if node.op == "-":
-            if isinstance(node.lhs, MeanSymbol) and isinstance(node.rhs, MeanSymbol):
-                a_mean = ctx.mean(means.PLAIN_KINDS["A"])
-                return a_mean * (ctx.rel(node.lhs.kind) - ctx.rel(node.rhs.kind))
-            ratio = _mean_ratio(node.rhs)
-            if _is_one(node.lhs) and ratio is not None:
-                r1, r2 = ctx.rel(ratio[0]), ctx.rel(ratio[1])
-                return -(r1 - r2) / (1.0 + r2)
-            ratio = _mean_ratio(node.lhs)
-            if ratio is not None and _is_one(node.rhs):
-                r1, r2 = ctx.rel(ratio[0]), ctx.rel(ratio[1])
-                return (r1 - r2) / (1.0 + r2)
         lhs = _eval(node.lhs, ctx)
         rhs = _eval(node.rhs, ctx)
         with np.errstate(**_QUIET):
-            if node.op == "+":
-                return lhs + rhs
-            if node.op == "-":
-                return lhs - rhs
-            if node.op == "*":
-                return lhs * rhs
-            if node.op == "/":
-                out = lhs / rhs
-                return _guard(ctx, node, out, ~np.isfinite(np.asarray(out)))
-            # power
-            out = np.power(lhs, rhs)
+            out = ctx._apply(_BINARY[node.op], lhs, rhs)
+        if node.op in ("/", "^"):
             return _guard(ctx, node, out, ~np.isfinite(np.asarray(out)))
+        return out
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -20,14 +20,16 @@ the hyperbolic one y = artanh(t) = log(hi/lo)/2, and
 Direct closed forms are used where they are stable; below ``SERIES_T_THRESHOLD``
 the removable-singularity routes switch to truncated series.  A series or
 overflow branch is evaluated only on the points that take it; a scalar pair
-takes it whole.
+takes it whole.  A grid kernel given ``out=`` computes its steps in that array
+and returns it, so a caller that reuses its arrays (a grid stage's workspace)
+allocates only the kernel's few temporaries per call.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +45,27 @@ SERIES_T_THRESHOLD = 1e-4
 POWER_LIMIT_THRESHOLD = 1e-8
 
 _QUIET = dict(divide="ignore", invalid="ignore", over="ignore", under="ignore")
+
+
+#: The operator form of each ufunc that _into calls without an output.
+_OPERATORS = {
+    np.add: operator.add,
+    np.subtract: operator.sub,
+    np.multiply: operator.mul,
+    np.divide: operator.truediv,
+    np.negative: operator.neg,
+    np.positive: operator.pos,
+}
+
+
+def _into(out, ufunc, *args):
+    """ufunc(*args), written into out when one is given (a grid's reused
+    buffer).  Without one it is the operator form and passes no out keyword:
+    on numpy scalars a ufunc call costs some 20 times the operator, and an
+    out=None keyword alone about triples the cost of np.exp."""
+    if out is None:
+        return _OPERATORS.get(ufunc, ufunc)(*args)
+    return ufunc(*args, out=out)
 
 
 def _piecewise(mask, out, fn, *args):
@@ -64,6 +87,24 @@ def _piecewise(mask, out, fn, *args):
     return out
 
 
+class _cached:
+    """functools.cached_property without its lock, which Python 3.11 takes
+    on every first read; a pair fills in its quantities on one thread."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class Pair:
     """Pairs (a, b), validated and canonicalized to hi >= lo once, with the
     quantities that several kernels read, each computed on first use.
@@ -72,9 +113,15 @@ class Pair:
     again; the pair must be ``Pair(a, b)`` of the same arguments.  A scalar
     pair is held as two ``np.float64`` values, so every quantity and every
     kernel output on it is 0-d and each branch is taken whole (see
-    :func:`_piecewise`); the kernel bodies are the same as on grids."""
+    :func:`_piecewise`); the kernel bodies are the same as on grids.
 
-    def __init__(self, a, b):
+    ``alloc``, for array pairs: a function returning a fresh float64 buffer
+    of the pairs' shape, into which the pair writes hi, lo and every cached
+    quantity but ``eq``; the caller owns those buffers."""
+
+    _alloc = None
+
+    def __init__(self, a, b, alloc=None):
         self.scalar = np.ndim(a) == 0 and np.ndim(b) == 0
         if self.scalar:  # float comparisons: numpy reductions cost microseconds
             a, b = float(a), float(b)
@@ -86,40 +133,42 @@ class Pair:
         bb = np.asarray(b, dtype=float)
         if not all(np.isfinite(arr).all() and not (arr <= 0.0).any() for arr in (aa, bb)):
             raise DomainError("means are defined for positive finite arguments only")
-        self.hi = np.maximum(aa, bb)
-        self.lo = np.minimum(aa, bb)
+        self._alloc = alloc
+        self.hi = np.maximum(aa, bb, out=alloc and alloc())
+        self.lo = np.minimum(aa, bb, out=alloc and alloc())
 
-    @cached_property
+    @_cached
     def eq(self):
         """The points with hi == lo, where every mean is hi."""
         return self.hi == self.lo
 
-    @cached_property
+    @_cached
     def t(self):
         """t = (hi - lo)/(hi + lo), in [0, 1]."""
-        return (self.hi - self.lo) / (self.hi + self.lo)
+        return _into(self._alloc and self._alloc(), np.divide, self.hi - self.lo, self.hi + self.lo)
 
-    @cached_property
+    @_cached
     def g(self):
         """sqrt(hi)*sqrt(lo): the geometric mean, except where hi == lo."""
-        return np.sqrt(self.hi) * np.sqrt(self.lo)
+        return _into(self._alloc and self._alloc(), np.multiply, np.sqrt(self.hi), np.sqrt(self.lo))
 
-    @cached_property
+    @_cached
     def y(self):
         """y = artanh(t) = log(hi/lo)/2 at full relative accuracy for any
         ratio; unlike arctanh(t) it stays accurate when t is within a few
         ulp of 1."""
         hi, lo = self.hi, self.lo
+        out = self._alloc and self._alloc()
         with np.errstate(**_QUIET):
             u = (hi - lo) / lo
-            log_ratio = np.log1p(u)
+            log_ratio = _into(out, np.log1p, u)
         # past u = 1e15 log1p gains nothing, and u itself may overflow
         log_ratio = _piecewise(
             u >= 1e15, log_ratio, lambda hi, lo: np.log(hi) - np.log(lo), hi, lo
         )
-        return 0.5 * log_ratio
+        return _into(out, np.multiply, 0.5, log_ratio)
 
-    @cached_property
+    @_cached
     def x(self):
         """x = arcsin(t), accurate up to t -> 1.
 
@@ -130,8 +179,9 @@ class Pair:
         # on grids to large ratios most points are past 0.9, and computing
         # the half-angle form everywhere beats gathering them
         with np.errstate(**_QUIET):
-            out = 0.5 * math.pi - 2.0 * np.arcsin(np.sqrt(lo / (hi + lo)))
-        return _piecewise(self.t <= 0.9, out, np.arcsin, self.t)
+            half_angle = 2.0 * np.arcsin(np.sqrt(lo / (hi + lo)))
+            x = _into(self._alloc and self._alloc(), np.subtract, 0.5 * math.pi, half_angle)
+        return _piecewise(self.t <= 0.9, x, np.arcsin, self.t)
 
 
 def _pair(a, b, pair):
@@ -150,30 +200,36 @@ def _ret(out, scalar):
     return float(out) if scalar else out
 
 
-def arithmetic(a, b, *, pair=None):
+def arithmetic(a, b, *, pair=None, out=None):
     pair = _pair(a, b, pair)
-    return _ret(0.5 * (pair.hi + pair.lo), pair.scalar)
+    out = _into(out, np.add, pair.hi, pair.lo)
+    out *= 0.5
+    return _ret(out, pair.scalar)
 
 
-def geometric(a, b, *, pair=None):
+def geometric(a, b, *, pair=None, out=None):
     pair = _pair(a, b, pair)
-    return _ret(np.where(pair.eq, pair.hi, pair.g), pair.scalar)
+    return _ret(_on_diagonal(pair, _into(out, np.positive, pair.g)), pair.scalar)
 
 
-def harmonic(a, b, *, pair=None):
+def harmonic(a, b, *, pair=None, out=None):
+    """H = 2 (lo/(hi + lo)) hi."""
     pair = _pair(a, b, pair)
-    return _ret(2.0 * (pair.lo / (pair.hi + pair.lo)) * pair.hi, pair.scalar)
+    out = _into(out, np.divide, pair.lo, _into(out, np.add, pair.hi, pair.lo))
+    out *= 2.0
+    out *= pair.hi
+    return _ret(out, pair.scalar)
 
 
 def _small(pair):
     return pair.t < SERIES_T_THRESHOLD
 
 
-def logarithmic(a, b, *, pair=None):
+def logarithmic(a, b, *, pair=None, out=None):
     """L = (a - b)/log(a/b); series route G sinh(y)/y below the threshold."""
     pair = _pair(a, b, pair)
     with np.errstate(**_QUIET):
-        out = (pair.hi - pair.lo) / (2.0 * pair.y)
+        out = _into(out, np.divide, pair.hi - pair.lo, _into(out, np.multiply, 2.0, pair.y))
     out = _piecewise(
         _small(pair), out, lambda g, y: g * series.sinh_over_y(y, terms=6), pair.g, pair.y
     )
@@ -197,7 +253,7 @@ def logarithmic_param(a, b):
     return _ret(pair.g * ratio, pair.scalar)
 
 
-def identric(a, b, *, pair=None):
+def identric(a, b, *, pair=None, out=None):
     """I = (1/e)(a^a/b^b)^(1/(a-b)), via the cancellation-free u-form.
 
     With u = (a-b)/b the exponent (a log a - b log b)/(a - b) - 1 rewrites
@@ -206,9 +262,16 @@ def identric(a, b, *, pair=None):
     pair = _pair(a, b, pair)
     hi, lo = pair.hi, pair.lo
     with np.errstate(**_QUIET):
-        u = (hi - lo) / lo
-        # log1p(u) = 2y exactly while u < 1e15
-        out = lo * np.exp((1.0 + u) * (2.0 * pair.y) / u - 1.0)
+        u = hi - lo
+        u /= lo
+        # log1p(u) = 2y exactly while u < 1e15: the exponent is
+        # (1 + u)(2y)/u - 1
+        e = _into(out, np.add, 1.0, u)
+        e *= 2.0 * pair.y
+        e /= u
+        e -= 1.0
+        out = _into(out, np.exp, e)
+        out *= lo
     # for astronomically large ratios (1+u) overflows; anchored at hi the
     # exponent lo log(hi/lo)/(hi - lo) - 1 stays near -1, where exp does not
     # amplify its rounding, and 2y = log(hi) - log(lo) there
@@ -233,11 +296,11 @@ def identric_param(a, b):
     return _ret(pair.g * np.exp(ratio - 1.0), pair.scalar)
 
 
-def seiffert(a, b, *, pair=None):
+def seiffert(a, b, *, pair=None, out=None):
     """P = (a - b)/(2 arcsin t); series route below the threshold."""
     pair = _pair(a, b, pair)
     with np.errstate(**_QUIET):
-        out = (pair.hi - pair.lo) / (2.0 * pair.x)
+        out = _into(out, np.divide, pair.hi - pair.lo, _into(out, np.multiply, 2.0, pair.x))
     out = _piecewise(
         _small(pair),
         out,
@@ -262,7 +325,7 @@ def seiffert_param(a, b):
     return _ret(0.5 * (pair.hi + pair.lo) / (1.0 + series.xoversin_minus_one(pair.x)), pair.scalar)
 
 
-def x_mean(a, b, *, pair=None):
+def x_mean(a, b, *, pair=None, out=None):
     """X = A e^(x cot x - 1); exponent by series below the threshold.
 
     Above it x cot x - 1 = arcsin(t) (G/A) / t - 1, which keeps cos(x) = G/A
@@ -270,9 +333,15 @@ def x_mean(a, b, *, pair=None):
     pair = _pair(a, b, pair)
     a_sum = pair.hi + pair.lo
     with np.errstate(**_QUIET):
-        w = pair.x * (2.0 * pair.g / a_sum) / pair.t - 1.0
+        w = _into(out, np.multiply, 2.0, pair.g)
+        w /= a_sum
+        w *= pair.x
+        w /= pair.t
+        w -= 1.0
     w = _piecewise(_small(pair), w, lambda x: series.xcotx_minus_one(x, terms=6), pair.x)
-    return _ret(0.5 * a_sum * np.exp(w), pair.scalar)
+    out = _into(out, np.exp, w)
+    out *= 0.5 * a_sum
+    return _ret(out, pair.scalar)
 
 
 x_mean_param = x_mean
@@ -285,13 +354,17 @@ def x_mean_direct(a, b):
     return _ret(0.5 * (pair.hi + pair.lo) * np.exp(pair.g / p - 1.0), pair.scalar)
 
 
-def y_mean(a, b, *, pair=None):
+def y_mean(a, b, *, pair=None, out=None):
     """Y = G e^(tanh(y)/y - 1); exponent by series below the threshold."""
     pair = _pair(a, b, pair)
     with np.errstate(**_QUIET):
-        w = np.tanh(pair.y) / pair.y - 1.0
+        w = _into(out, np.tanh, pair.y)
+        w /= pair.y
+        w -= 1.0
     w = _piecewise(_small(pair), w, lambda y: series.tanh_over_y_minus_one(y, terms=6), pair.y)
-    return _ret(_on_diagonal(pair, pair.g * np.exp(w)), pair.scalar)
+    out = _into(out, np.exp, w)
+    out *= pair.g
+    return _ret(_on_diagonal(pair, out), pair.scalar)
 
 
 def y_mean_direct(a, b):
@@ -306,10 +379,11 @@ def y_mean_direct(a, b):
 _POWER_TYPE = {"Mp": (2.0, math.log(2.0), 2.0), "Hp": (4.0 / 3.0, math.log(3.0), 3.0)}
 
 
-def _power_exponent(pair, p, weight, asymptote, divisor):
+def _power_exponent(pair, p, weight, asymptote, divisor, out=None):
     """log(M/G) = log1p(weight sinh(p y/2)^2)/p of a power-type mean: weight
     2 gives M_p, 4/3 the Heronian H_p.  Past |p y| = 700, where sinh
-    overflows, it is (|p y| - asymptote)/p; as p -> 0 it is p y^2/divisor."""
+    overflows, it is (|p y| - asymptote)/p; as p -> 0 it is p y^2/divisor.
+    Each step after p y is written into out, when one is given."""
     y = pair.y
     p = np.asarray(p, dtype=float)
     if p.ndim:
@@ -320,8 +394,11 @@ def _power_exponent(pair, p, weight, asymptote, divisor):
     with np.errstate(**_QUIET):
         # s * s, not s ** 2: on an array ** 2 is this product, but on a
         # scalar it calls pow, which can differ from it in the last bit
-        s = np.sinh(0.5 * v)
-        out = np.log1p(weight * (s * s)) / p
+        s = _into(out, np.sinh, _into(out, np.multiply, 0.5, v))
+        s *= s
+        s *= weight
+        out = _into(out, np.log1p, s)
+        out /= p
     out = _piecewise(np.abs(v) > 700.0, out, lambda v, p: (np.abs(v) - asymptote) / p, v, p)
     if p.ndim:
         out = _piecewise(
@@ -330,23 +407,24 @@ def _power_exponent(pair, p, weight, asymptote, divisor):
     return out
 
 
-def _power_type_mean(tag, a, b, p, pair):
+def _power_type_mean(tag, a, b, p, pair, out):
     pair = _pair(a, b, pair)
     if not np.isfinite(np.asarray(p, dtype=float)).all():
         name = "power mean" if tag == "Mp" else "Heronian"
         raise DomainError(f"{name} exponent must be finite")
-    out = pair.g * np.exp(_power_exponent(pair, p, *_POWER_TYPE[tag]))
+    out = _into(out, np.exp, _power_exponent(pair, p, *_POWER_TYPE[tag], out))
+    out *= pair.g
     return _ret(_on_diagonal(pair, out), pair.scalar and np.ndim(p) == 0)
 
 
-def power_mean(a, b, p, *, pair=None):
+def power_mean(a, b, p, *, pair=None, out=None):
     """M_p = ((a^p + b^p)/2)^(1/p), with M_0 = G and a stable p ~ 0 limit."""
-    return _power_type_mean("Mp", a, b, p, pair)
+    return _power_type_mean("Mp", a, b, p, pair, out)
 
 
-def heronian_mean(a, b, p, *, pair=None):
+def heronian_mean(a, b, p, *, pair=None, out=None):
     """H_p = ((a^p + (ab)^(p/2) + b^p)/3)^(1/p), H_0 = G."""
-    return _power_type_mean("Hp", a, b, p, pair)
+    return _power_type_mean("Hp", a, b, p, pair, out)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +438,12 @@ def heronian_mean(a, b, p, *, pair=None):
 _REL_DIRECT_CUTOFF = 0.1
 
 
-def _rel_geometric(t):
-    return -(t * t) / (1.0 + np.sqrt(1.0 - t * t))
+def _rel_geometric(t, out=None):
+    """G/A - 1 = -t^2/(1 + sqrt(1 - t^2))."""
+    t2 = t * t
+    d = _into(out, np.sqrt, _into(out, np.subtract, 1.0, t2))
+    d += 1.0
+    return _into(out, np.divide, -t2, d)
 
 
 def _log_geometric_over_arithmetic(pair):
@@ -375,48 +457,58 @@ def _log_geometric_over_arithmetic(pair):
     )
 
 
-def _rel_logarithmic(y):
+def _rel_logarithmic(y, out=None):
     with np.errstate(**_QUIET):
-        out = np.tanh(y) / y - 1.0
+        out = _into(out, np.tanh, y)
+        out /= y
+        out -= 1.0
     return _piecewise(
         y < _REL_DIRECT_CUTOFF, out, lambda v: series.tanh_over_y_minus_one(v, terms=10), y
     )
 
 
-def _rel_identric_exponent(y):
+def _rel_identric_exponent(y, out=None):
     # A/L - 1 = y coth y - 1
     with np.errstate(**_QUIET):
-        out = y / np.tanh(y) - 1.0
+        out = _into(out, np.divide, y, _into(out, np.tanh, y))
+        out -= 1.0
     return _piecewise(
         y < _REL_DIRECT_CUTOFF, out, lambda v: series.ycothy_minus_one(v, terms=10), y
     )
 
 
-def rel_to_arithmetic(kind: "MeanKind", a, b, *, pair=None):
-    """(M/A) - 1 elementwise, accurate in relative terms for every t."""
+def rel_to_arithmetic(kind: "MeanKind", a, b, *, pair=None, out=None):
+    """(M/A) - 1 elementwise, accurate in relative terms for every t; on a
+    grid given ``out=``, written there and returned."""
     pair = _pair(a, b, pair)
     tag = kind.tag
     if tag == "A":
-        out = np.zeros_like(pair.hi)
+        if out is None:
+            out = np.zeros_like(pair.hi)
+        else:
+            out.fill(0.0)
     elif tag == "G":
-        out = _rel_geometric(pair.t)
+        out = _rel_geometric(pair.t, out)
     elif tag == "H":
-        out = -(pair.t * pair.t)
+        out = _into(out, np.negative, _into(out, np.multiply, pair.t, pair.t))
     elif tag == "P":
         sser = series.xoversin_minus_one(pair.x)
-        out = -sser / (1.0 + sser)
+        out = _into(out, np.divide, -sser, _into(out, np.add, 1.0, sser))
     elif tag == "X":
-        out = np.expm1(series.xcotx_minus_one(pair.x))
+        out = _into(out, np.expm1, series.xcotx_minus_one(pair.x))
     elif tag == "L":
-        out = _rel_logarithmic(pair.y)
+        out = _rel_logarithmic(pair.y, out)
     elif tag in ("Y", "I"):
+        # rg + e + rg e, with e = expm1(the exponent of M/G)
+        exponent = _rel_logarithmic if tag == "Y" else _rel_identric_exponent
+        e = _into(out, np.expm1, exponent(pair.y, out))
         rg = _rel_geometric(pair.t)
-        expo = _rel_logarithmic(pair.y) if tag == "Y" else _rel_identric_exponent(pair.y)
-        e = np.expm1(expo)
-        out = rg + e + rg * e
+        rg_e = rg * e
+        out = _into(out, np.add, rg, e)
+        out += rg_e
     elif tag in _POWER_TYPE:
-        expo = _power_exponent(pair, kind.exponent, *_POWER_TYPE[tag])
-        out = np.expm1(_log_geometric_over_arithmetic(pair) + expo)
+        expo = _power_exponent(pair, kind.exponent, *_POWER_TYPE[tag], out)
+        out = _into(out, np.expm1, _into(out, np.add, _log_geometric_over_arithmetic(pair), expo))
     else:  # pragma: no cover
         raise DomainError(f"unknown mean kind {kind!r}")
     return _ret(out, pair.scalar)
@@ -518,11 +610,16 @@ _KERNELS = {
 
 def mean_kernel(kind: MeanKind):
     """Two-argument array function implementing the kind; it takes the
-    prepared ``Pair(a, b)`` as the keyword ``pair`` too."""
+    prepared ``Pair(a, b)`` as the keyword ``pair`` too, and an array to
+    write its result into as ``out``."""
     if kind.tag == "Mp":
-        return lambda a, b, *, pair=None: power_mean(a, b, kind.exponent, pair=pair)
+        return lambda a, b, *, pair=None, out=None: power_mean(
+            a, b, kind.exponent, pair=pair, out=out
+        )
     if kind.tag == "Hp":
-        return lambda a, b, *, pair=None: heronian_mean(a, b, kind.exponent, pair=pair)
+        return lambda a, b, *, pair=None, out=None: heronian_mean(
+            a, b, kind.exponent, pair=pair, out=out
+        )
     return _KERNELS[kind.tag]
 
 

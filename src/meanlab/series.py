@@ -126,8 +126,14 @@ def _float_coeffs(kind: SeriesKind, terms: int) -> np.ndarray:
 
 
 def _poly_in_x2(coeffs: np.ndarray, x2):
-    """Horner evaluation of sum c_n * x2^(n-1) over n = 1..len(coeffs)."""
+    """Horner evaluation of sum c_n * x2^(n-1) over n = 1..len(coeffs); on
+    an array in place, so it allocates one array however many terms."""
     acc = np.zeros_like(np.asarray(x2, dtype=float))
+    if acc.ndim:
+        for c in coeffs[::-1]:
+            acc *= x2
+            acc += c
+        return acc
     for c in coeffs[::-1]:
         acc = acc * x2 + c
     return acc
@@ -244,6 +250,10 @@ def tanh_over_y_minus_one(y, terms: int = 12):
     return float(out) if ys.ndim == 0 else out
 
 
+#: The most terms sinh_over_y takes: past them (2k+1)! exceeds the doubles.
+_SINH_MAX_TERMS = 84
+
+
 @functools.cache
 def _sinh_coeffs(terms: int) -> np.ndarray:
     # 1/(2k+1)! for k = 1..terms, rounded from the float quotient:
@@ -253,6 +263,8 @@ def _sinh_coeffs(terms: int) -> np.ndarray:
 
 def sinh_over_y(y, terms: int = 10):
     """sinh(y)/y = sum y^(2k)/(2k+1)!; entire, used for small |y|."""
+    if not 1 <= terms <= _SINH_MAX_TERMS:
+        raise DomainError(f"terms must be in 1..{_SINH_MAX_TERMS}")
     ys = np.asarray(y, dtype=float)
     y2 = ys * ys
     out = 1.0 + y2 * _poly_in_x2(_sinh_coeffs(terms), y2)

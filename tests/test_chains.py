@@ -257,8 +257,8 @@ class TestChunkedScan:
         evaluated, scanned, current = [], [], {}
 
         class CountingContext(chains.GridContext):
-            def __init__(self, a, b):
-                super().__init__(a, b)
+            def __init__(self, a, b, **kwargs):
+                super().__init__(a, b, **kwargs)
                 evaluated.append(Counter())
                 scanned.append(Counter())
 
@@ -289,6 +289,99 @@ class TestChunkedScan:
         assert sum(len(c.members) - 1 for c in suite) > len(links)
         monkeypatch.undo()
         assert chains.verify_chains(suite, GridSpec(r_min=0.1, n=1000)) == expected
+
+
+class _CountingWorkspace(chains.Workspace):
+    """A Workspace that checks each buffer is lent to one holder at a time
+    and given back exactly once, and counts the buffers it allocates."""
+
+    def __init__(self):
+        super().__init__()
+        self.allocated = []  # kept alive, so that ids stay distinct
+        self.lent = {}  # id(buffer) -> 1 while lent, 0 once given back
+        self.takes = 0
+        _CountingWorkspace.created.append(self)
+
+    def take(self, n):
+        view = super().take(n)
+        if not any(view.base is buf for buf in self.allocated):
+            self.allocated.append(view.base)
+        assert not self.lent.get(id(view.base)), "a buffer lent twice"
+        self.lent[id(view.base)] = 1
+        self.takes += 1
+        return view
+
+    def give(self, view):
+        assert self.lent.get(id(view.base)) == 1, "a buffer given back twice or never lent"
+        self.lent[id(view.base)] = 0
+        super().give(view)
+
+    def outstanding(self):
+        return sum(self.lent.values())
+
+
+class TestWorkspaceReuse:
+    @pytest.fixture
+    def counting(self, monkeypatch):
+        # one worker, so that each stage has one workspace; every scan must
+        # end with all its buffers given back
+        _CountingWorkspace.created = []
+        monkeypatch.setattr(chains, "Workspace", _CountingWorkspace)
+        monkeypatch.setattr(chains, "_worker_count", lambda chunks: 1)
+        original = chains._LinkPlan.scan
+
+        def scan(plan, ratios, b, workspace=None):
+            result = original(plan, ratios, b, workspace)
+            used = workspace if workspace is not None else _CountingWorkspace.created[-1]
+            assert used.outstanding() == 0
+            return result
+
+        monkeypatch.setattr(chains._LinkPlan, "scan", scan)
+        return _CountingWorkspace.created
+
+    def test_buffers_allocated_do_not_grow_with_the_chunks(self, monkeypatch, counting):
+        grid = GridSpec(r_min=0.1, n=2000)
+        stages = (
+            lambda: chains.verify_chains(builtin_suite(), grid),
+            lambda: chains.sharpness_probes(grid),
+            lambda: chains.conjecture_scan(grid),
+        )
+        builtin_suite()
+        allocated = {}
+        for chunk_points in (500, 64):  # 4 and 32 chunks a stage
+            monkeypatch.setattr(chains, "CHUNK_POINTS", chunk_points)
+            for k, stage in enumerate(stages):
+                del counting[:]
+                stage()
+                [workspace] = counting
+                assert workspace.takes > len(workspace.allocated)  # reused
+                allocated.setdefault(k, []).append(len(workspace.allocated))
+        assert all(few == many for few, many in allocated.values()), allocated
+        # values are given back as their links are scanned, so the chain
+        # stage holds far fewer arrays at once than it has distinct members
+        members = {m for c in builtin_suite() for m in c.members}
+        assert allocated[0][0] < len(members) / 2
+
+    def test_every_buffer_given_back_on_the_error_fallback(self, monkeypatch, counting):
+        # log(A - 2*G) is undefined below a/b ~ 13.9: the chunks there raise,
+        # and the failing chain is scanned again whole on its own workspace
+        chain = InequalityChain("bad", ("log(A - 2*G)", "A"), "fails near a = b")
+        monkeypatch.setattr(chains, "CHUNK_POINTS", 64)
+        grid = GridSpec(r_min=0.1, r_max=100.0, n=600)
+        report, other = chains.verify_chains([chain, get_chain("T11-1")], grid)
+        assert report.error is not None and "log" in report.error
+        assert other.error is None
+        assert len(counting) == 2  # the stage's workspace and the fallback's
+        assert all(w.outstanding() == 0 and w.takes for w in counting)
+
+    def test_a_kept_error_holds_no_arrays(self):
+        # an EvalError's traceback frames would keep its scan's arrays alive
+        # for as long as the error is kept
+        chain = InequalityChain("bad", ("log(A - 2*G)", "A"), "fails near a = b")
+        grid = GridSpec(r_min=0.1, n=600)
+        [error] = chains._grid_link_minima([chain.members], grid.n, grid.ratios_slice, grid.b)
+        assert isinstance(error, chains.EvalError)
+        assert error.__traceback__ is None
 
 
 class TestGridSpec:

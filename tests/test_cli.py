@@ -257,9 +257,9 @@ class TestSharedGridContext:
             return counted
 
         class CountingPair(means.Pair):
-            def __init__(self, a, b):
+            def __init__(self, a, b, **kwargs):
                 pairs.append((np.ndim(b), self))  # kept alive, so their ids stay distinct
-                super().__init__(a, b)
+                super().__init__(a, b, **kwargs)
 
         monkeypatch.setattr(means, "mean_kernel", counting_kernel)
         monkeypatch.setattr(means, "Pair", CountingPair)

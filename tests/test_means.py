@@ -431,3 +431,53 @@ class TestBranchCompaction:
             for row, p in zip(table, orders):
                 assert _bits(row).tolist() == _bits(fn(a, b, p)).tolist(), (fn.__name__, p)
             assert _bits(fn(4.0, 1.0, orders)).tolist() == [_bits(fn(4.0, 1.0, p)) for p in orders]
+
+
+class TestOutArgument:
+    # a grid kernel given out= writes its result there and returns out
+    # itself, bit for bit what it returns without one, also when its pair
+    # writes its quantities into caller-owned buffers (Pair alloc=)
+    KINDS = TestBranchCompaction.KINDS
+
+    @staticmethod
+    def _grids():
+        yield np.geomspace(1.0 + 1e-6, 1e8, 10_000), 1.0  # the default grid
+        yield np.geomspace(1.0 + 1e-15, 1e300, 10_000), 1.0
+        # both sides of t = 1e-4, u = 1e15, y = 0.1, y = 1 and |3 y| = 700,
+        # then the branch-compaction grid, which has a == b and swapped pairs
+        thresholds = [(1 + 1e-4) / (1 - 1e-4), 1 + 1e15, math.exp(0.2), math.exp(2.0)]
+        thresholds.append(math.exp(1400.0 / 3.0))
+        yield np.array([np.nextafter(r, to) for r in thresholds for to in (0.0, r, np.inf)]), 1.0
+        yield TestBranchCompaction._grid()
+
+    @pytest.mark.parametrize("rel", [False, True], ids=["mean", "rel"])
+    def test_out_is_returned_and_matches_bitwise(self, rel):
+        def run(kind, a, b, pair, out):
+            if rel:
+                return M.rel_to_arithmetic(kind, a, b, pair=pair, out=out)
+            return M.mean_kernel(kind)(a, b, pair=pair, out=out)
+
+        for a, b in self._grids():
+            shape = np.broadcast(a, b).shape
+            for kind in self.KINDS:
+                expected = run(kind, a, b, None, None)
+                out = np.full(shape, np.nan)  # every point must be written
+                pair = M.Pair(a, b, alloc=lambda: np.full(shape, np.nan))
+                got = run(kind, a, b, pair, out)
+                assert got is out, kind
+                assert _bits(got).tolist() == _bits(expected).tolist(), kind
+
+    def test_pair_quantities_live_in_the_allocated_buffers(self):
+        a, b = TestBranchCompaction._grid()
+        lent = []
+
+        def alloc():
+            lent.append(np.full(a.shape, np.nan))
+            return lent[-1]
+
+        pair, plain = M.Pair(a, b, alloc=alloc), M.Pair(a, b)
+        for name in ("hi", "lo", "t", "g", "y", "x"):
+            got = getattr(pair, name)
+            assert any(got is buf for buf in lent), name
+            assert _bits(got).tolist() == _bits(getattr(plain, name)).tolist(), name
+        assert len(lent) == 6

@@ -188,6 +188,17 @@ class TestHelperKernels:
             ref = math.sinh(y) / y if y else 1.0
             assert series.sinh_over_y(y) == pytest.approx(ref, rel=1e-13)
 
+    def test_sinh_over_y_rejects_out_of_range_terms(self):
+        # 169! is the largest odd factorial below the largest double, so 84
+        # terms is the most; 0 terms would silently return 1.0
+        assert series.sinh_over_y(0.5, terms=1) == 1.0 + 0.25 / 6.0
+        assert series.sinh_over_y(0.5, terms=84) == pytest.approx(math.sinh(0.5) / 0.5, rel=1e-15)
+        for terms in (0, -1, 85, 90):
+            with pytest.raises(DomainError):
+                series.sinh_over_y(0.5, terms=terms)
+            with pytest.raises(DomainError):
+                series.sinh_over_y(np.array([0.1, 0.5]), terms=terms)
+
 
 class TestCoeffRatioMonotonicity:
     def test_quotient_coefficient_ratio_is_decreasing(self):
