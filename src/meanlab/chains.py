@@ -250,17 +250,16 @@ class _LinkPlan:
         for key, step in last_read.items():
             self.uncache[step].append(key)
 
-    def scan(self, ratios: np.ndarray, b, workspace: Workspace | None = None):
+    def scan(self, ratios: np.ndarray, b, workspace: Workspace):
         """Over the pairs (ratios*b, b): per link, (min margin, ratio at the
         first argmin, rhs - lhs there), or None where a member raised; and
-        the EvalError each failing member raised, by member slot.  Every
-        array of the scan is lent by the workspace (a new one if None) and
-        given back by the end."""
+        the EvalError each failing member raised, by member slot: at its
+        first failing node's first bad pair.  Every array of the scan is lent
+        by the workspace and given back by the end."""
         out = [None] * len(self.links)
         errors = {}
         if not ratios.size:
             return out, errors
-        workspace = Workspace() if workspace is None else workspace
         n = ratios.size
         a = np.multiply(ratios, b, out=workspace.take(n))
         buffers = workspace.take(n), workspace.take(n)
@@ -333,14 +332,31 @@ def _first_min(parts):
     return best
 
 
+def _first_error(members, points, b) -> EvalError:
+    """The EvalError evaluating members in order over a grid raises, from the
+    values of a at which they raised on its chunks.  The first member to fail
+    anywhere fails first at its first failing node's first bad point, which
+    is where it raised on that point's chunk; on those points alone, in grid
+    order (a ascends with the ratios), the members raise the same error."""
+    ctx = GridContext(np.array(sorted(points)), b)
+    try:
+        for member in members:
+            ctx.evaluate(member)
+    except EvalError as exc:
+        return exc.with_traceback(None)
+    raise AssertionError("members that failed on their chunks pass on the error points")
+
+
 def _grid_link_minima(member_lists, n: int, ratios_of, b) -> list:
     """For each member list, (min margin, ratio there, rhs - lhs there) per
     link over the pairs (ratios_of(0, n)*b, b), or the EvalError evaluating
-    the list raised.  Streamed: each chunk [lo, hi) evaluates ratios_of(lo,
-    hi) alone, and the links merge chunk by chunk with a first argmin."""
+    the list over them raises.  Streamed, failing lists too: each chunk
+    [lo, hi) evaluates ratios_of(lo, hi) alone, the links merge chunk by
+    chunk with a first argmin, and a failing list's error is found from the
+    errors its members raised on the chunks."""
     plan = _LinkPlan(member_lists)
     best = [None] * len(plan.links)
-    failed = set()
+    failed = {}  # member slot -> the a at which it raised, on each chunk it raised on
     workspaces = threading.local()  # one per worker, dropped with the stage
 
     def run(lo, hi):
@@ -351,19 +367,12 @@ def _grid_link_minima(member_lists, n: int, ratios_of, b) -> list:
 
     for links, errors in _map_chunks(run, n):
         best = [_first_min(pair) for pair in zip(best, links)]
-        failed.update(errors)
-    whole = None
+        for s, exc in errors.items():
+            failed.setdefault(s, set()).add(exc.pair[0])
     out = []
     for members, (ms, ls) in zip(member_lists, plan.rows):
-        if failed.isdisjoint(ms):
-            out.append([best[k] for k in ls])
-            continue
-        # members are evaluated one after another over all points, so the
-        # first chunk to fail need not hold the whole grid's first error
-        if whole is None:
-            whole = ratios_of(0, n)
-        links, errors = _LinkPlan([members]).scan(whole, b)
-        out.append(errors[min(errors)] if errors else links)
+        points = set().union(*(failed.get(s, ()) for s in ms))
+        out.append(_first_error(members, points, b) if points else [best[k] for k in ls])
     return out
 
 

@@ -5,12 +5,13 @@ Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
 I/O error.  Reports are deterministic: identical configuration yields byte
 identical output.  Verification, the sharpness probes and the conjecture scan
 stream the grid: each chunk of at most chains.CHUNK_POINTS points builds its
-own ratios and mean values, and no stage holds a whole-grid array.  The chunk
-count is a multiple of the core count, with chunks equal to within one point,
-and the chunks run on a thread per core when there are several.  A chunk
-evaluates each distinct member of the selected chains once and scans each
-distinct link once.  The report does not depend on the chunking or the thread
-count.
+own ratios and mean values, and no stage holds a whole-grid array, not even
+where chains or probes raise (their errors come from the chunks' error
+points).  The chunk count is a multiple of the core count, with chunks equal
+to within one point, and the chunks run on a thread per core when there are
+several.  A chunk evaluates each distinct member of the selected chains once
+and scans each distinct link once.  The report does not depend on the
+chunking or the thread count.
 """
 
 from __future__ import annotations

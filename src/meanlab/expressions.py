@@ -405,8 +405,16 @@ class GridContext:
 
     def evaluate(self, expr: MeanExpr):
         """Evaluate over this context's pairs: a float for a scalar pair,
-        otherwise an array of the grid's shape."""
-        value = _eval(expr, self)
+        otherwise an array of the grid's shape.  With a workspace, the node
+        results of an evaluation that raises are given back."""
+        held = None if self._workspace is None else set(self._results)
+        try:
+            value = _eval(expr, self)
+        except EvalError:
+            if held is not None:
+                for key in set(self._results) - held:
+                    self._workspace.give(self._results.pop(key))
+            raise
         if self.a.ndim == 0 and self.b.ndim == 0:
             return float(value)
         out = np.asarray(value, dtype=float)

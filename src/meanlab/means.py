@@ -46,6 +46,8 @@ POWER_LIMIT_THRESHOLD = 1e-8
 
 _QUIET = dict(divide="ignore", invalid="ignore", over="ignore", under="ignore")
 
+_TINY = np.finfo(float).tiny
+
 
 #: The operator form of each ufunc that _into calls without an output.
 _OPERATORS = {
@@ -213,11 +215,15 @@ def geometric(a, b, *, pair=None, out=None):
 
 
 def harmonic(a, b, *, pair=None, out=None):
-    """H = 2 (lo/(hi + lo)) hi."""
+    """H = 2 (lo/(hi + lo)) hi; 2 (lo/(1 + lo/hi)) where lo/(hi + lo) is not
+    a normal double (hi + lo overflows, or lo is that small next to hi)."""
     pair = _pair(a, b, pair)
-    out = _into(out, np.divide, pair.lo, _into(out, np.add, pair.hi, pair.lo))
+    with np.errstate(over="ignore"):
+        out = _into(out, np.divide, pair.lo, _into(out, np.add, pair.hi, pair.lo))
+    tiny = out < _TINY
     out *= 2.0
     out *= pair.hi
+    out = _piecewise(tiny, out, lambda lo, hi: 2.0 * (lo / (1.0 + lo / hi)), pair.lo, pair.hi)
     return _ret(out, pair.scalar)
 
 

@@ -18,7 +18,7 @@ from meanlab.chains import (
     sharpness_probe,
     verify_chain,
 )
-from meanlab.errors import ConfigError, DomainError, NonMonotonePredicateError
+from meanlab.errors import ConfigError, DomainError, EvalError, NonMonotonePredicateError
 from meanlab.expressions import evaluate
 
 import oracles
@@ -157,15 +157,53 @@ class TestVerifyChain:
         assert report.error is not None
 
     def test_eval_error_is_the_whole_grids_first(self, monkeypatch):
-        # the sqrt fails from a/b ~ 13.9 on and the log only at a/b < ~1.33:
-        # over the whole grid the sqrt fails first, but the first chunk of
-        # 1000 points fails only in the log
-        broken = InequalityChain("broken", ("sqrt(2 - A/G) + log(A/G - 1.01)", "A"), "test")
+        # the error is the one evaluating the members one after another over
+        # the whole grid raises, however the grid is chunked
         grid = GridSpec(r_min=1e-3, r_max=1e3, n=5000)
-        whole = verify_chain(broken, grid)
-        monkeypatch.setattr(chains, "CHUNK_POINTS", 1000)
-        assert verify_chain(broken, grid) == whole
-        assert whole.error.startswith("invalid operand in subexpression 'sqrt(")
+        cases = [
+            # the sqrt fails from a/b ~ 13.9 on and the log only at a/b < ~1.33:
+            # over the whole grid the sqrt fails first, but the early chunks
+            # fail only in the log
+            ("sqrt(2 - A/G) + log(A/G - 1.01)", "A"),
+            # the second member fails from the first point on, the first only
+            # from a/b ~ 13.9 on, yet the first member's error is the grid's
+            ("sqrt(2 - A/G) + A", "log(A/G - 1.01) + 2*A"),
+            # every chunk below a/b ~ 13.9 fails in the same node, each at its
+            # own first point: the earliest chunk's is the grid's
+            ("log(A - 2*G)", "A"),
+        ]
+        expected = []
+        for texts in cases:
+            chain = InequalityChain("broken", texts, "test")
+            expected.append(_whole_grid_error(chain.members, grid.ratios() * grid.b, grid.b))
+        assert all(e.startswith("invalid operand in subexpression 'sqrt(") for e in expected[:2])
+        assert f"at pair ({float(grid.ratios_slice(0, 1)[0] * grid.b)!r}, " in expected[2]
+        # on the refined grid to a/b = 1e304 two T26 probes overflow in a power
+        probe_grid = GridSpec(r_max=1e300, n=2000)
+        refined = refined_ratios(probe_grid) * probe_grid.b
+        probe_errors = {}
+        for key, tpl in chains._TEMPLATES.items():
+            members = tpl.build(tpl.nominal + tpl.tighten_sign * 1e-3).members
+            probe_errors[key] = _whole_grid_error(members, refined, probe_grid.b)
+        assert sum(error is not None for error in probe_errors.values()) == 2
+        for chunk_points, workers in ((1 << 16, 1), (97, 1), (7, 1), (97, 4)):
+            monkeypatch.setattr(chains, "CHUNK_POINTS", chunk_points)
+            monkeypatch.setattr(chains, "_worker_count", lambda chunks: min(chunks, workers))
+            for texts, error in zip(cases, expected):
+                assert verify_chain(InequalityChain("broken", texts, "test"), grid).error == error
+            probes = chains.sharpness_probes(probe_grid)
+            assert {(o.chain_id, o.constant): o.error for o in probes} == probe_errors
+
+
+def _whole_grid_error(members, a, b):
+    """The message of the EvalError evaluating members one after another over
+    the pairs (a, b) raises, or None."""
+    try:
+        for member in members:
+            evaluate(member, a, b)
+    except EvalError as exc:
+        return str(exc)
+    return None
 
 
 class TestChunkedScan:
@@ -330,10 +368,9 @@ class TestWorkspaceReuse:
         monkeypatch.setattr(chains, "_worker_count", lambda chunks: 1)
         original = chains._LinkPlan.scan
 
-        def scan(plan, ratios, b, workspace=None):
+        def scan(plan, ratios, b, workspace):
             result = original(plan, ratios, b, workspace)
-            used = workspace if workspace is not None else _CountingWorkspace.created[-1]
-            assert used.outstanding() == 0
+            assert workspace.outstanding() == 0
             return result
 
         monkeypatch.setattr(chains._LinkPlan, "scan", scan)
@@ -362,17 +399,52 @@ class TestWorkspaceReuse:
         members = {m for c in builtin_suite() for m in c.members}
         assert allocated[0][0] < len(members) / 2
 
-    def test_every_buffer_given_back_on_the_error_fallback(self, monkeypatch, counting):
+    def test_every_buffer_given_back_on_a_failing_stage(self, monkeypatch, counting):
         # log(A - 2*G) is undefined below a/b ~ 13.9: the chunks there raise,
-        # and the failing chain is scanned again whole on its own workspace
+        # and the failing chain's error comes from them, with no second scan
         chain = InequalityChain("bad", ("log(A - 2*G)", "A"), "fails near a = b")
         monkeypatch.setattr(chains, "CHUNK_POINTS", 64)
         grid = GridSpec(r_min=0.1, r_max=100.0, n=600)
         report, other = chains.verify_chains([chain, get_chain("T11-1")], grid)
         assert report.error is not None and "log" in report.error
         assert other.error is None
-        assert len(counting) == 2  # the stage's workspace and the fallback's
-        assert all(w.outstanding() == 0 and w.takes for w in counting)
+        [workspace] = counting  # the stage's one worker's
+        assert workspace.outstanding() == 0 and workspace.takes
+
+    def test_a_failed_evaluation_gives_back_its_node_results(self, counting):
+        # a member that raises holds none of its partial results until the
+        # chunk ends, so a failing grid's chunks hold no more buffers than a
+        # passing one's
+        workspace = _CountingWorkspace()
+        a = np.geomspace(1.5, 100.0, 50)
+        with chains.GridContext(a, 1.0, workspace=workspace) as ctx:
+            kept = ctx.evaluate(chains.parse_expr("A*G + 1"))
+            held = workspace.outstanding()
+            with pytest.raises(EvalError):
+                ctx.evaluate(chains.parse_expr("exp(2*A) + log(A*G - 2*G*G)"))
+            assert workspace.outstanding() == held  # A and G were cached already
+            ctx.release(kept)
+        assert workspace.outstanding() == 0
+
+    def test_a_failing_stage_reads_one_chunk_at_a_time(self, monkeypatch):
+        # chains and probes that raise on some chunks are reported from
+        # those chunks' errors, so no stage asks for more than a chunk of the
+        # grid at once, and its memory does not grow with the grid
+        builtin_suite()
+        spans = []
+        original = GridSpec.ratios_slice
+
+        def ratios_slice(grid, lo, hi):
+            spans.append(hi - lo)
+            return original(grid, lo, hi)
+
+        monkeypatch.setattr(GridSpec, "ratios_slice", ratios_slice)
+        monkeypatch.setattr(chains, "CHUNK_POINTS", 97)
+        grid = GridSpec(r_max=1e300, n=2000)
+        reports = chains.verify_chains(builtin_suite(), grid)
+        probes = chains.sharpness_probes(grid)
+        assert any(r.error for r in reports) and any(p.error for p in probes)
+        assert spans and max(spans) <= 97
 
     def test_a_kept_error_holds_no_arrays(self):
         # an EvalError's traceback frames would keep its scan's arrays alive

@@ -193,14 +193,21 @@ class TestDeterminism:
         assert out1 == out2
 
     def test_thread_count_does_not_change_bytes(self, run, monkeypatch):
-        for command in ("verify", "conjecture"):
+        # to a/b = 1e300 many chains and two probes raise on some chunks
+        failing = ("--grid-max", "1e300", "--points", "2000")
+        for command, grid in (
+            ("verify", NEAR_DIAGONAL),
+            ("conjecture", NEAR_DIAGONAL),
+            ("verify", failing),
+        ):
             outputs = []
             for chunk_points, workers in ((1 << 16, 1), (300, 1), (300, 4)):
                 chunked(monkeypatch, chunk_points, workers)
-                outputs.append(run(command, *NEAR_DIAGONAL))
+                outputs.append(run(command, *grid))
             one_chunk, serial, threaded = outputs
             assert len(one_chunk[1]) > 400
-            assert one_chunk == serial == threaded, command
+            assert one_chunk == serial == threaded, (command, grid)
+        assert one_chunk[1].count('"error": "invalid operand') == 12
 
 
 class TestSharedGridContext:

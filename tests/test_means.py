@@ -1,8 +1,11 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meanlab.means as M
 from meanlab.errors import DegeneratePairError, DomainError
@@ -232,6 +235,26 @@ class TestAlgebraicProperties:
             for f in _ALL_KERNELS:
                 err = abs(f(1.0 + h, 1.0) - 1.0 - h / 2.0)
                 assert err <= 0.3 * h * h, (f.__name__, h, err)
+
+
+_POSITIVE_DOUBLES = st.floats(
+    min_value=5e-324, max_value=1.7976931348623157e308, allow_subnormal=True
+)
+
+
+class TestHarmonicOverTheFullRange:
+    @given(_POSITIVE_DOUBLES, _POSITIVE_DOUBLES)
+    @settings(max_examples=500, deadline=None)
+    def test_finite_in_range_and_within_2_ulp(self, a, b):
+        # 2ab/(a + b) exactly, on the scalar path and the grid path (with and
+        # without a buffer to write into)
+        exact = 2 * Fraction(a) * Fraction(b) / (Fraction(a) + Fraction(b))
+        ulp = Fraction(math.ulp(float(exact)))
+        pair = np.array([a]), np.array([b])
+        for value in (M.harmonic(a, b), *M.harmonic(*pair), *M.harmonic(*pair, out=np.empty(1))):
+            assert math.isfinite(value)
+            assert min(a, b) <= value <= max(a, b)
+            assert abs(Fraction(float(value)) - exact) <= 2 * ulp, (a, b, value)
 
 
 class TestDualRoutes:
