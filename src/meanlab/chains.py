@@ -19,7 +19,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -48,14 +48,8 @@ DEFAULT_MARGIN_GUARD = 1e-13
 CHUNK_POINTS = 1 << 16
 
 _NC = _ratios_mod.named_constants()
-_ALPHA = _NC["alpha"].value
-_BETA = _NC["beta"].value
-_BETA1 = _NC["beta1"].value
-_BETA2 = _NC["beta2"].value
 _Q = _NC["q"].value
-_K = _NC["k"].value
 _THIRD = 1.0 / 3.0
-_HERONIAN_UPPER = math.log(3.0) / (1.0 + math.log(2.0))  # ~0.6488
 
 
 @dataclass(frozen=True)
@@ -416,64 +410,63 @@ def verify_chain(
 
 
 # ---------------------------------------------------------------------------
-# Parameterized chain builders (the constants that sharpness probes perturb)
+# Probed chains (the constants that sharpness probes perturb)
 # ---------------------------------------------------------------------------
 
 
-def _chain_t21a(alpha: float = _ALPHA, beta: float = _BETA) -> InequalityChain:
-    return InequalityChain(
-        "T21a",
-        (
+#: Chain id -> (member texts as a function of the constants, citation, and
+#: per constant its name, nominal value, side and the sign with which
+#: nominal + sign*eps tightens the bound), in the order of the sharpness rows.
+_PROBED = {
+    "T21a": (
+        lambda alpha, beta: (
             f"{alpha!r}*G + {1.0 - alpha!r}*A",
             "X",
             f"{beta!r}*G + {1.0 - beta!r}*A",
         ),
         "sharp convex combinations of G and A around X",
-    )
-
-
-def _chain_t21b(alpha1: float = 1.0, beta1: float = _BETA1) -> InequalityChain:
-    return InequalityChain(
-        "T21b",
-        (f"A + G - {alpha1!r}*P", "X", f"A + G - {beta1!r}*P"),
+        (("alpha", _NC["alpha"].value, "lower", -1.0), ("beta", _NC["beta"].value, "upper", +1.0)),
+    ),
+    "T21b": (
+        lambda alpha1, beta1: (f"A + G - {alpha1!r}*P", "X", f"A + G - {beta1!r}*P"),
         "sharp bounds A + G - c*P around X",
-    )
-
-
-def _chain_t26(alpha2: float = 2.0, beta2: float = _BETA2) -> InequalityChain:
-    return InequalityChain(
-        "T26",
-        (
+        (("alpha1", 1.0, "lower", -1.0), ("beta1", _NC["beta1"].value, "upper", +1.0)),
+    ),
+    "T26": (
+        lambda alpha2, beta2: (
             f"(A*X)^{1.0 / alpha2!r}",
             "P",
             f"(A*X^{beta2!r})^(1/(1+{beta2!r}))",
         ),
         "sharp exponents placing P between geometric interpolations of A and X",
-    )
-
-
-def _chain_e11(p: float = _THIRD, q: float = _Q) -> InequalityChain:
-    return InequalityChain(
-        "E11",
-        (f"Mp[{p!r}]", "X", f"Mp[{q!r}]"),
+        (("alpha2", 2.0, "lower", +1.0), ("beta2", _NC["beta2"].value, "upper", +1.0)),
+    ),
+    "E11": (
+        lambda p, q: (f"Mp[{p!r}]", "X", f"Mp[{q!r}]"),
         "power-mean window for X (Chu, Long et al.)",
-    )
-
-
-def _chain_e12(alpha: float = 0.5, beta: float = _HERONIAN_UPPER) -> InequalityChain:
-    return InequalityChain(
-        "E12",
-        (f"Hp[{alpha!r}]", "X", f"Hp[{beta!r}]"),
+        (("p", _THIRD, "lower", +1.0), ("q", _Q, "upper", -1.0)),
+    ),
+    "E12": (
+        lambda alpha, beta: (f"Hp[{alpha!r}]", "X", f"Hp[{beta!r}]"),
         "Heronian window for X (Zhou et al.)",
-    )
-
-
-def _chain_t24(s: float = 0.5, k: float = _K) -> InequalityChain:
-    return InequalityChain(
-        "T24",
-        (f"Mp[{s!r}]", "(P+X)/2", f"Mp[{k!r}]"),
+        (
+            ("alpha", 0.5, "lower", +1.0),
+            ("beta", math.log(3.0) / (1.0 + math.log(2.0)), "upper", -1.0),  # ~0.6488
+        ),
+    ),
+    "T24": (
+        lambda s, k: (f"Mp[{s!r}]", "(P+X)/2", f"Mp[{k!r}]"),
         "(P+X)/2 between the power means of orders 1/2 and k",
-    )
+        (("s", 0.5, "lower", +1.0), ("k", _NC["k"].value, "upper", -1.0)),
+    ),
+}
+
+
+def _probed_chain(chain_id: str, constant: str | None = None, value: float | None = None):
+    """A probed chain at its nominal constants, or with one of them set to value."""
+    texts, citation, constants = _PROBED[chain_id]
+    values = {name: value if name == constant else nominal for name, nominal, _, _ in constants}
+    return InequalityChain(chain_id, texts(**values), citation)
 
 
 def _static_chains() -> list[InequalityChain]:
@@ -530,10 +523,10 @@ def _static_chains() -> list[InequalityChain]:
             ("2*(1 - A/P)", "log(X/A)", "(P/A)^2"),
             "logarithmic bounds for X/A",
         ),
-        _chain_e11(),
-        _chain_e12(),
-        _chain_t21a(),
-        _chain_t21b(),
+        _probed_chain("E11"),
+        _probed_chain("E12"),
+        _probed_chain("T21a"),
+        _probed_chain("T21b"),
         mk(
             "R-ine1502a",
             ("X", "A*(1/e + (1 - 1/e)*G/P)"),
@@ -585,7 +578,7 @@ def _static_chains() -> list[InequalityChain]:
             ("A*X", "(A^2*((A+G)/2)^4)^(1/3)", "P^2"),
             "P^2 above a geometric interpolation of A^2 and ((A+G)/2)^4 above AX",
         ),
-        _chain_t24(),
+        _probed_chain("T24"),
         mk(
             "R-2402g",
             ("sqrt(A*G)", "sqrt(P*X)", "(A+G)/2"),
@@ -601,7 +594,7 @@ def _static_chains() -> list[InequalityChain]:
             ("Hp[0.5]", "(2*G+A)/3", "X"),
             "H_(1/2) below the Carlson bound below X",
         ),
-        _chain_t26(),
+        _probed_chain("T26"),
         mk(
             "C-AGe",
             ("(A+G)/e", "X", "(A+G)/2"),
@@ -697,27 +690,11 @@ class ProbeTemplate:
         return "tighten_lower" if self.side == "lower" else "tighten_upper"
 
 
-def _probe_templates() -> dict[tuple[str, str], ProbeTemplate]:
-    t = [
-        ProbeTemplate("T21a", "alpha", _ALPHA, "lower", -1.0, lambda v: _chain_t21a(alpha=v)),
-        ProbeTemplate("T21a", "beta", _BETA, "upper", +1.0, lambda v: _chain_t21a(beta=v)),
-        ProbeTemplate("T21b", "alpha1", 1.0, "lower", -1.0, lambda v: _chain_t21b(alpha1=v)),
-        ProbeTemplate("T21b", "beta1", _BETA1, "upper", +1.0, lambda v: _chain_t21b(beta1=v)),
-        ProbeTemplate("T26", "alpha2", 2.0, "lower", +1.0, lambda v: _chain_t26(alpha2=v)),
-        ProbeTemplate("T26", "beta2", _BETA2, "upper", +1.0, lambda v: _chain_t26(beta2=v)),
-        ProbeTemplate("E11", "p", _THIRD, "lower", +1.0, lambda v: _chain_e11(p=v)),
-        ProbeTemplate("E11", "q", _Q, "upper", -1.0, lambda v: _chain_e11(q=v)),
-        ProbeTemplate("E12", "alpha", 0.5, "lower", +1.0, lambda v: _chain_e12(alpha=v)),
-        ProbeTemplate(
-            "E12", "beta", _HERONIAN_UPPER, "upper", -1.0, lambda v: _chain_e12(beta=v)
-        ),
-        ProbeTemplate("T24", "s", 0.5, "lower", +1.0, lambda v: _chain_t24(s=v)),
-        ProbeTemplate("T24", "k", _K, "upper", -1.0, lambda v: _chain_t24(k=v)),
-    ]
-    return {(p.chain_id, p.constant): p for p in t}
-
-
-_TEMPLATES = _probe_templates()
+_TEMPLATES = {
+    (chain_id, name): ProbeTemplate(chain_id, name, *rest, partial(_probed_chain, chain_id, name))
+    for chain_id, (_, _, constants) in _PROBED.items()
+    for name, *rest in constants
+}
 
 
 @dataclass(frozen=True)

@@ -75,55 +75,6 @@ def _selected_chains(args):
     return tuple(by_id[w] for w in wanted)
 
 
-def _constant_recovery() -> list[dict]:
-    """Endpoint-limit estimates for every named constant.
-
-    alpha1 equals the zero limit of P/(A+G-X); beta1 and alpha2 are algebraic
-    images of recovered limits (1/c and 1 + the zero limit of the exponent
-    function).  q and k are not recovered: their rows give the closed form
-    itself, so their error is 0 by construction.
-    """
-    est: dict[str, float] = {}
-    fns = ratios.RatioFn
-    est["one_log_gap"] = ratios.endpoint_limit(fns.LOG_GAP_EXPONENT, "zero")
-    est["beta2"] = ratios.endpoint_limit(fns.LOG_GAP_EXPONENT, "half_pi")
-    est["alpha"] = ratios.endpoint_limit(fns.X_GAP_RATIO, "zero")
-    est["beta"] = ratios.endpoint_limit(fns.X_GAP_RATIO, "half_pi")
-    est["alpha1"] = ratios.endpoint_limit(fns.SEIFFERT_GAP_RATIO, "zero")
-    est["c"] = ratios.endpoint_limit(fns.SEIFFERT_GAP_RATIO, "half_pi")
-    est["one_x_over_p"] = ratios.endpoint_limit(fns.X_OVER_P, "zero")
-    est["pi_over_2e"] = ratios.endpoint_limit(fns.X_OVER_P, "half_pi")
-    est["beta1"] = 1.0 / est["c"]
-    est["alpha2"] = 1.0 + est["one_log_gap"]
-    rows = []
-    for name, nc in ratios.named_constants().items():
-        recovered = name in est
-        estimate = est[name] if recovered else nc.value
-        rows.append(
-            {
-                "name": name,
-                "closed_form": nc.closed_form,
-                "value": nc.value,
-                "estimate": estimate,
-                "abs_error": abs(estimate - nc.value),
-                "method": "endpoint_limit" if recovered else "closed_form",
-            }
-        )
-    # the shared limit 1 at both zero endpoints, recovered for completeness
-    for key, fn in (("one_log_gap", "log_gap_exponent"), ("one_x_over_p", "x_over_p")):
-        rows.append(
-            {
-                "name": key,
-                "closed_form": "1",
-                "value": 1.0,
-                "estimate": est[key],
-                "abs_error": abs(est[key] - 1.0),
-                "method": "endpoint_limit",
-            }
-        )
-    return rows
-
-
 def _cmd_verify(args) -> int:
     grid = _grid_from_args(args)
     guard = args.guard
@@ -131,7 +82,7 @@ def _cmd_verify(args) -> int:
         raise ConfigError("margin guard must lie in (0, 1e-6)")
     selected = _selected_chains(args)
     reports = chains.verify_chains(selected, grid, margin_guard=guard)
-    constants = _constant_recovery()
+    constants = ratios.constant_recovery()
     sharpness = [o.as_dict() for o in chains.sharpness_probes(grid)]
     chains_pass = all(r.passed for r in reports)
     constants_pass = all(row["abs_error"] < 1e-6 for row in constants)

@@ -33,8 +33,6 @@ from . import means
 from .errors import EvalError, ParseError
 from .means import _OPERATORS, MeanKind
 
-_QUIET = dict(divide="ignore", invalid="ignore", over="ignore", under="ignore")
-
 
 @dataclass(frozen=True)
 class Num:
@@ -515,7 +513,7 @@ def _eval(node: MeanExpr, ctx: GridContext):
             _guard(ctx, node, arg, ~(np.asarray(arg) > 0.0))
             return ctx._apply(np.log, arg)
         if node.fn == "exp":
-            with np.errstate(**_QUIET):
+            with np.errstate(all="ignore"):
                 out = ctx._apply(np.exp, arg)
             return _guard(ctx, node, out, ~np.isfinite(np.asarray(out)))
         # sqrt
@@ -530,7 +528,7 @@ def _eval(node: MeanExpr, ctx: GridContext):
     if isinstance(node, BinOp):
         lhs = _eval(node.lhs, ctx)
         rhs = _eval(node.rhs, ctx)
-        with np.errstate(**_QUIET):
+        with np.errstate(all="ignore"):
             out = ctx._apply(_BINARY[node.op], lhs, rhs)
         if node.op in ("/", "^"):
             return _guard(ctx, node, out, ~np.isfinite(np.asarray(out)))

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -44,9 +45,10 @@ SERIES_T_THRESHOLD = 1e-4
 #: |p| below which the power-type means use the log-space p -> 0 limit.
 POWER_LIMIT_THRESHOLD = 1e-8
 
-_QUIET = dict(divide="ignore", invalid="ignore", over="ignore", under="ignore")
-
 _TINY = np.finfo(float).tiny
+
+#: hi + lo can overflow only where hi exceeds this.
+_HALF_MAX = np.finfo(float).max / 2
 
 
 #: The operator form of each ufunc that _into calls without an output.
@@ -80,13 +82,51 @@ def _piecewise(mask, out, fn, *args):
     if not np.ndim(mask):
         if not mask:
             return out
-        with np.errstate(**_QUIET):
+        with np.errstate(all="ignore"):
             return fn(*args)
     idx = np.flatnonzero(mask)
     if idx.size:
-        with np.errstate(**_QUIET):
+        with np.errstate(all="ignore"):
             np.put(out, idx, fn(*(arg.take(idx) if np.ndim(arg) else arg for arg in args)))
     return out
+
+
+def _sum_safe(fn, degree, out, hi, *args):
+    """fn(hi, *args, out), a formula homogeneous of the given degree in its
+    arguments (hi and other quantities of degree 1, none above hi) whose only
+    overflow is a sum such as hi + lo.  Where hi > max/2, where that sum can
+    overflow, it is 2^degree fn of the halved arguments: halving such hi is
+    exact, and the other arguments lose a bit only far below hi's last one.
+    A scalar compares before it sums, so it enters no errstate; a grid sums
+    everywhere with warnings off, then redoes its wide points."""
+    if not isinstance(hi, np.ndarray):
+        if hi <= _HALF_MAX:
+            return fn(hi, *args, out)
+        return _halved(fn, degree, hi, *args)
+    with np.errstate(all="ignore"):
+        out = fn(hi, *args, out)
+    return _piecewise(hi > _HALF_MAX, out, partial(_halved, fn, degree), hi, *args)
+
+
+def _halved(fn, degree, *args):
+    return fn(*(0.5 * v for v in args), None) * 2.0**degree
+
+
+# The formulas _sum_safe guards: t, A, lo/(hi + lo) and cos x = G/A.
+def _t(hi, lo, out):
+    return _into(out, np.divide, hi - lo, hi + lo)
+
+
+def _mid(hi, lo, out):
+    return _into(out, np.multiply, _into(out, np.add, hi, lo), 0.5)
+
+
+def _lo_share(hi, lo, out):
+    return _into(out, np.divide, lo, hi + lo)
+
+
+def _cos_x(hi, lo, g, out):
+    return _into(out, np.divide, _into(out, np.multiply, 2.0, g), hi + lo)
 
 
 class _cached:
@@ -147,7 +187,7 @@ class Pair:
     @_cached
     def t(self):
         """t = (hi - lo)/(hi + lo), in [0, 1]."""
-        return _into(self._alloc and self._alloc(), np.divide, self.hi - self.lo, self.hi + self.lo)
+        return _sum_safe(_t, 0, self._alloc and self._alloc(), self.hi, self.lo)
 
     @_cached
     def g(self):
@@ -161,7 +201,7 @@ class Pair:
         ulp of 1."""
         hi, lo = self.hi, self.lo
         out = self._alloc and self._alloc()
-        with np.errstate(**_QUIET):
+        with np.errstate(all="ignore"):
             u = (hi - lo) / lo
             log_ratio = _into(out, np.log1p, u)
         # past u = 1e15 log1p gains nothing, and u itself may overflow
@@ -180,8 +220,8 @@ class Pair:
         hi, lo = self.hi, self.lo
         # on grids to large ratios most points are past 0.9, and computing
         # the half-angle form everywhere beats gathering them
-        with np.errstate(**_QUIET):
-            half_angle = 2.0 * np.arcsin(np.sqrt(lo / (hi + lo)))
+        with np.errstate(all="ignore"):
+            half_angle = 2.0 * np.arcsin(np.sqrt(_sum_safe(_lo_share, 0, None, hi, lo)))
             x = _into(self._alloc and self._alloc(), np.subtract, 0.5 * math.pi, half_angle)
         return _piecewise(self.t <= 0.9, x, np.arcsin, self.t)
 
@@ -204,9 +244,7 @@ def _ret(out, scalar):
 
 def arithmetic(a, b, *, pair=None, out=None):
     pair = _pair(a, b, pair)
-    out = _into(out, np.add, pair.hi, pair.lo)
-    out *= 0.5
-    return _ret(out, pair.scalar)
+    return _ret(_sum_safe(_mid, 1, out, pair.hi, pair.lo), pair.scalar)
 
 
 def geometric(a, b, *, pair=None, out=None):
@@ -234,7 +272,7 @@ def _small(pair):
 def logarithmic(a, b, *, pair=None, out=None):
     """L = (a - b)/log(a/b); series route G sinh(y)/y below the threshold."""
     pair = _pair(a, b, pair)
-    with np.errstate(**_QUIET):
+    with np.errstate(all="ignore"):
         out = _into(out, np.divide, pair.hi - pair.lo, _into(out, np.multiply, 2.0, pair.y))
     out = _piecewise(
         _small(pair), out, lambda g, y: g * series.sinh_over_y(y, terms=6), pair.g, pair.y
@@ -245,7 +283,7 @@ def logarithmic(a, b, *, pair=None, out=None):
 def logarithmic_direct(a, b):
     """Pure closed-form route, no series branch (a == b still returns a)."""
     pair = Pair(a, b)
-    with np.errstate(**_QUIET):
+    with np.errstate(all="ignore"):
         out = (pair.hi - pair.lo) / (2.0 * pair.y)
     return _ret(_on_diagonal(pair, out), pair.scalar)
 
@@ -253,7 +291,7 @@ def logarithmic_direct(a, b):
 def logarithmic_param(a, b):
     """Hyperbolic route G sinh(y)/y, series below the threshold."""
     pair = Pair(a, b)
-    with np.errstate(**_QUIET):
+    with np.errstate(all="ignore"):
         ratio = np.sinh(pair.y) / pair.y
     ratio = _piecewise(_small(pair), ratio, lambda y: series.sinh_over_y(y, terms=6), pair.y)
     return _ret(pair.g * ratio, pair.scalar)
@@ -267,7 +305,7 @@ def identric(a, b, *, pair=None, out=None):
     """
     pair = _pair(a, b, pair)
     hi, lo = pair.hi, pair.lo
-    with np.errstate(**_QUIET):
+    with np.errstate(all="ignore"):
         u = hi - lo
         u /= lo
         # log1p(u) = 2y exactly while u < 1e15: the exponent is
@@ -305,12 +343,14 @@ def identric_param(a, b):
 def seiffert(a, b, *, pair=None, out=None):
     """P = (a - b)/(2 arcsin t); series route below the threshold."""
     pair = _pair(a, b, pair)
-    with np.errstate(**_QUIET):
+    with np.errstate(all="ignore"):
         out = _into(out, np.divide, pair.hi - pair.lo, _into(out, np.multiply, 2.0, pair.x))
     out = _piecewise(
         _small(pair),
         out,
-        lambda hi, lo, x: 0.5 * (hi + lo) / (1.0 + series.xoversin_minus_one(x, terms=6)),
+        lambda hi, lo, x: (
+            _sum_safe(_mid, 1, None, hi, lo) / (1.0 + series.xoversin_minus_one(x, terms=6))
+        ),
         pair.hi,
         pair.lo,
         pair.x,
@@ -320,7 +360,7 @@ def seiffert(a, b, *, pair=None, out=None):
 
 def seiffert_direct(a, b):
     pair = Pair(a, b)
-    with np.errstate(**_QUIET):
+    with np.errstate(all="ignore"):
         out = (pair.hi - pair.lo) / (2.0 * pair.x)
     return _ret(_on_diagonal(pair, out), pair.scalar)
 
@@ -337,16 +377,14 @@ def x_mean(a, b, *, pair=None, out=None):
     Above it x cot x - 1 = arcsin(t) (G/A) / t - 1, which keeps cos(x) = G/A
     exact as t -> 1."""
     pair = _pair(a, b, pair)
-    a_sum = pair.hi + pair.lo
-    with np.errstate(**_QUIET):
-        w = _into(out, np.multiply, 2.0, pair.g)
-        w /= a_sum
+    w = _sum_safe(_cos_x, 0, out, pair.hi, pair.lo, pair.g)
+    with np.errstate(all="ignore"):
         w *= pair.x
         w /= pair.t
         w -= 1.0
     w = _piecewise(_small(pair), w, lambda x: series.xcotx_minus_one(x, terms=6), pair.x)
     out = _into(out, np.exp, w)
-    out *= 0.5 * a_sum
+    out *= _sum_safe(_mid, 1, None, pair.hi, pair.lo)
     return _ret(out, pair.scalar)
 
 
@@ -363,7 +401,7 @@ def x_mean_direct(a, b):
 def y_mean(a, b, *, pair=None, out=None):
     """Y = G e^(tanh(y)/y - 1); exponent by series below the threshold."""
     pair = _pair(a, b, pair)
-    with np.errstate(**_QUIET):
+    with np.errstate(all="ignore"):
         w = _into(out, np.tanh, pair.y)
         w /= pair.y
         w -= 1.0
@@ -397,7 +435,7 @@ def _power_exponent(pair, p, weight, asymptote, divisor, out=None):
     elif abs(p) < POWER_LIMIT_THRESHOLD:
         return p * y * y / divisor
     v = p * y
-    with np.errstate(**_QUIET):
+    with np.errstate(all="ignore"):
         # s * s, not s ** 2: on an array ** 2 is this product, but on a
         # scalar it calls pow, which can differ from it in the last bit
         s = _into(out, np.sinh, _into(out, np.multiply, 0.5, v))
@@ -456,7 +494,7 @@ def _log_geometric_over_arithmetic(pair):
     """log(G/A) = -log(cosh y).  log1p(G/A - 1) loses the digits of G/A as
     t -> 1, and from a ratio of about 1e16 it is log1p(-1); past y = 1 the
     form -(y - log 2 + log1p(e^(-2y))) keeps them."""
-    with np.errstate(**_QUIET):
+    with np.errstate(all="ignore"):
         out = np.log1p(_rel_geometric(pair.t))
     return _piecewise(
         pair.y > 1.0, out, lambda y: -(y - math.log(2.0) + np.log1p(np.exp(-2.0 * y))), pair.y
@@ -464,7 +502,7 @@ def _log_geometric_over_arithmetic(pair):
 
 
 def _rel_logarithmic(y, out=None):
-    with np.errstate(**_QUIET):
+    with np.errstate(all="ignore"):
         out = _into(out, np.tanh, y)
         out /= y
         out -= 1.0
@@ -475,7 +513,7 @@ def _rel_logarithmic(y, out=None):
 
 def _rel_identric_exponent(y, out=None):
     # A/L - 1 = y coth y - 1
-    with np.errstate(**_QUIET):
+    with np.errstate(all="ignore"):
         out = _into(out, np.divide, y, _into(out, np.tanh, y))
         out -= 1.0
     return _piecewise(

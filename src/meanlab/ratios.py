@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +29,6 @@ from .errors import DomainError, ExtrapolationError
 
 _E = math.e
 _PI = math.pi
-_QUIET = dict(divide="ignore", invalid="ignore", over="ignore", under="ignore")
 
 
 class RatioFn(enum.Enum):
@@ -52,7 +52,7 @@ def ratio_eval(fn: RatioFn, x):
     scalar = xs.ndim == 0
     s = series.xoversin_minus_one(xs)  # x/sin(x) - 1 > 0
     w = series.xcotx_minus_one(xs)  # x cot(x) - 1 < 0
-    with np.errstate(**_QUIET):
+    with np.errstate(all="ignore"):
         if fn == RatioFn.LOG_GAP_EXPONENT:
             numer = np.log1p(s)  # log(x/sin x)
             out = numer / (-w - numer)  # log(e^(1 - x cot x) sin(x)/x)
@@ -219,11 +219,15 @@ def endpoint_limit(fn: RatioFn, endpoint: str, offset: float = 1e-2, nodes: int 
 
 @dataclass(frozen=True)
 class NamedConstant:
-    """A sharp constant with its closed form (in the expression grammar)."""
+    """A sharp constant with its closed form (in the expression grammar) and
+    the (function, endpoint) limit that recovers it, if one does, with the
+    map from that limit to the constant (None: the identity)."""
 
     name: str
     closed_form: str
     value: float
+    limit: tuple[RatioFn, str] | None = None
+    of_limit: Callable[[float], float] | None = None
 
 
 _LOG2 = math.log(2.0)
@@ -232,15 +236,22 @@ _LOG2 = math.log(2.0)
 def named_constants() -> dict[str, NamedConstant]:
     """The sharp constants recovered by this module's endpoint limits."""
     consts = [
-        NamedConstant("alpha", "2/3", 2.0 / 3.0),
-        NamedConstant("beta", "(e-1)/e", (_E - 1.0) / _E),
-        NamedConstant("alpha1", "1", 1.0),
-        NamedConstant("beta1", "pi*(e-1)/(2*e)", _PI * (_E - 1.0) / (2.0 * _E)),
-        NamedConstant("alpha2", "2", 2.0),
+        NamedConstant("alpha", "2/3", 2.0 / 3.0, (RatioFn.X_GAP_RATIO, "zero")),
+        NamedConstant("beta", "(e-1)/e", (_E - 1.0) / _E, (RatioFn.X_GAP_RATIO, "half_pi")),
+        NamedConstant("alpha1", "1", 1.0, (RatioFn.SEIFFERT_GAP_RATIO, "zero")),
+        NamedConstant(
+            "beta1",
+            "pi*(e-1)/(2*e)",
+            _PI * (_E - 1.0) / (2.0 * _E),
+            (RatioFn.SEIFFERT_GAP_RATIO, "half_pi"),
+            lambda c: 1.0 / c,
+        ),
+        NamedConstant("alpha2", "2", 2.0, (RatioFn.LOG_GAP_EXPONENT, "zero"), lambda v: 1.0 + v),
         NamedConstant(
             "beta2",
             "log(pi/2)/log(2*e/pi)",
             math.log(_PI / 2.0) / math.log(2.0 * _E / _PI),
+            (RatioFn.LOG_GAP_EXPONENT, "half_pi"),
         ),
         NamedConstant("q", "log(2)/(1+log(2))", _LOG2 / (1.0 + _LOG2)),
         NamedConstant(
@@ -248,33 +259,53 @@ def named_constants() -> dict[str, NamedConstant]:
             "(5*log(2)+2)/(6*(log(2)+1))",
             (5.0 * _LOG2 + 2.0) / (6.0 * (_LOG2 + 1.0)),
         ),
-        NamedConstant("c", "2*e/(pi*(e-1))", 2.0 * _E / (_PI * (_E - 1.0))),
-        NamedConstant("pi_over_2e", "pi/(2*e)", _PI / (2.0 * _E)),
+        NamedConstant(
+            "c",
+            "2*e/(pi*(e-1))",
+            2.0 * _E / (_PI * (_E - 1.0)),
+            (RatioFn.SEIFFERT_GAP_RATIO, "half_pi"),
+        ),
+        NamedConstant("pi_over_2e", "pi/(2*e)", _PI / (2.0 * _E), (RatioFn.X_OVER_P, "half_pi")),
     ]
     return {c.name: c for c in consts}
 
 
-#: (function, endpoint) -> the named constant its limit recovers; "one" marks
-#: the plain limit 1 shared by three of the functions.
-LIMIT_CONSTANTS: dict[tuple[RatioFn, str], str] = {
-    (RatioFn.LOG_GAP_EXPONENT, "zero"): "one",
-    (RatioFn.LOG_GAP_EXPONENT, "half_pi"): "beta2",
-    (RatioFn.X_GAP_RATIO, "zero"): "alpha",
-    (RatioFn.X_GAP_RATIO, "half_pi"): "beta",
-    (RatioFn.SEIFFERT_GAP_RATIO, "zero"): "one",
-    (RatioFn.SEIFFERT_GAP_RATIO, "half_pi"): "c",
-    (RatioFn.X_OVER_P, "zero"): "one",
-    (RatioFn.X_OVER_P, "half_pi"): "pi_over_2e",
-}
+#: The plain limit 1 at the zero ends that recover no named constant.
+_UNIT_LIMITS = (
+    NamedConstant("one_log_gap", "1", 1.0, (RatioFn.LOG_GAP_EXPONENT, "zero")),
+    NamedConstant("one_x_over_p", "1", 1.0, (RatioFn.X_OVER_P, "zero")),
+)
+
+
+def constant_recovery() -> list[dict]:
+    """The verify report's constant rows: each named constant, then the unit
+    limits.  A constant with a limit is estimated from it, each (function,
+    endpoint) limit computed once; q and k have none, so their rows give the
+    closed form itself and an error of 0 by construction."""
+    table = [*named_constants().values(), *_UNIT_LIMITS]
+    limits = {key: endpoint_limit(*key) for key in dict.fromkeys(nc.limit for nc in table) if key}
+    rows = []
+    for nc in table:
+        estimate = nc.value if nc.limit is None else limits[nc.limit]
+        estimate = estimate if nc.of_limit is None else nc.of_limit(estimate)
+        rows.append(
+            {
+                "name": nc.name,
+                "closed_form": nc.closed_form,
+                "value": nc.value,
+                "estimate": estimate,
+                "abs_error": abs(estimate - nc.value),
+                "method": "closed_form" if nc.limit is None else "endpoint_limit",
+            }
+        )
+    return rows
 
 
 def limit_target(fn: RatioFn, endpoint: str) -> float:
     """Closed-form value the endpoint limit should reproduce."""
-    key = LIMIT_CONSTANTS.get((fn, endpoint))
-    if key == "one":
-        return 1.0
-    if key is None:
-        if fn == RatioFn.CUSA_AUX:
-            return 2.0 if endpoint == "zero" else _PI * _PI / 4.0
-        raise DomainError(f"no catalogued limit for {fn} at {endpoint}")
-    return named_constants()[key].value
+    for nc in (*named_constants().values(), *_UNIT_LIMITS):
+        if nc.limit == (fn, endpoint) and nc.of_limit is None:
+            return nc.value
+    if fn == RatioFn.CUSA_AUX:
+        return 2.0 if endpoint == "zero" else _PI * _PI / 4.0
+    raise DomainError(f"no catalogued limit for {fn} at {endpoint}")

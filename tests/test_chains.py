@@ -575,6 +575,21 @@ class TestSharpness:
             sharpness_probe("T21a", "alpha", "tighten_lower", -1e-3)
 
 
+class TestProbeTemplates:
+    def test_templates_in_sharpness_row_order(self):
+        assert list(chains._TEMPLATES) == [
+            ("T21a", "alpha"), ("T21a", "beta"), ("T21b", "alpha1"), ("T21b", "beta1"),
+            ("T26", "alpha2"), ("T26", "beta2"), ("E11", "p"), ("E11", "q"),
+            ("E12", "alpha"), ("E12", "beta"), ("T24", "s"), ("T24", "k"),
+        ]
+
+    def test_nominal_build_is_the_registry_chain(self):
+        for tpl in chains._TEMPLATES.values():
+            built, registered = tpl.build(tpl.nominal), get_chain(tpl.chain_id)
+            assert built.member_texts == registered.member_texts, tpl
+            assert built.citation == registered.citation, tpl
+
+
 class TestBracketing:
     def test_x_exponents(self):
         lo = bracket_best_exponent("X", "lower", 1e-4)

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from meanlab import chains, means
+from meanlab import chains, means, ratios
 from meanlab.chains import GridSpec, builtin_suite, refined_ratios
 from meanlab.cli import main
 
@@ -85,6 +85,43 @@ class TestVerify:
         assert all(c["passed"] for c in doc["chains"])
         assert all(row["abs_error"] < 1e-6 for row in doc["constants"])
         assert doc["tool"] == "meanlab" and doc["version"]
+
+    def test_constants_section_pinned(self, run, monkeypatch):
+        # each row's estimate from its own endpoint limit, written out here
+        lim, F = ratios.endpoint_limit, ratios.RatioFn
+        one_log_gap = lim(F.LOG_GAP_EXPONENT, "zero")
+        c = lim(F.SEIFFERT_GAP_RATIO, "half_pi")
+        estimates = {
+            "alpha": lim(F.X_GAP_RATIO, "zero"),
+            "beta": lim(F.X_GAP_RATIO, "half_pi"),
+            "alpha1": lim(F.SEIFFERT_GAP_RATIO, "zero"),
+            "beta1": 1.0 / c,
+            "alpha2": 1.0 + one_log_gap,
+            "beta2": lim(F.LOG_GAP_EXPONENT, "half_pi"),
+            "c": c,
+            "pi_over_2e": lim(F.X_OVER_P, "half_pi"),
+        }
+        expected = []
+        for nc in ratios.named_constants().values():
+            estimate = estimates.get(nc.name, nc.value)
+            method = "endpoint_limit" if nc.name in estimates else "closed_form"
+            expected.append((nc.name, nc.closed_form, nc.value, estimate, method))
+        expected.append(("one_log_gap", "1", 1.0, one_log_gap, "endpoint_limit"))
+        expected.append(("one_x_over_p", "1", 1.0, lim(F.X_OVER_P, "zero"), "endpoint_limit"))
+        calls = []
+        monkeypatch.setattr(ratios, "endpoint_limit", lambda *key: calls.append(key) or lim(*key))
+        _, out, _ = run("verify", "--chains", "T11-1", *FAST_VERIFY)
+        # each (function, endpoint) limit once, through the module attribute
+        assert len(calls) == len(set(calls)) == 8
+        rows = json.loads(out)["constants"]
+        assert [list(row) for row in rows] == [
+            ["name", "closed_form", "value", "estimate", "abs_error", "method"]
+        ] * 12
+        for row, (name, closed_form, value, estimate, method) in zip(rows, expected, strict=True):
+            assert (row["name"], row["closed_form"], row["method"]) == (name, closed_form, method)
+            for key, want in (("value", value), ("estimate", estimate),
+                              ("abs_error", abs(estimate - value))):
+                assert row[key].hex() == want.hex(), (name, key)
 
     def test_default_grid_reports_near_diagonal_guard_failures(self, run):
         # at a/b - 1 = 1e-6 most links sit below the 1e-13 guard (their true

@@ -81,7 +81,8 @@ class TestClosedForms:
 
 
 def _ulps(value, ref):
-    return float(abs(mpmath.mpf(value) - ref)) / float(np.spacing(abs(float(ref))))
+    # math.ulp, not np.spacing, which overflows at the largest double
+    return float(abs(mpmath.mpf(value) - ref)) / math.ulp(abs(float(ref)))
 
 
 class TestAgainstMpmathOracle:
@@ -255,6 +256,30 @@ class TestHarmonicOverTheFullRange:
             assert math.isfinite(value)
             assert min(a, b) <= value <= max(a, b)
             assert abs(Fraction(float(value)) - exact) <= 2 * ulp, (a, b, value)
+
+
+class TestWidePairs:
+    #: ulps from the oracle allowed per kernel whose sums can overflow
+    BUDGET = {"A": 0.5, "L": 4.0, "P": 4.0, "X": 4.0, "Y": 4.0}
+    KERNELS = {"A": M.arithmetic, "L": M.logarithmic, "P": M.seiffert, "X": M.x_mean,
+               "Y": M.y_mean}
+
+    @given(st.floats(min_value=8.988465674311579e307, max_value=1.7976931348623157e308),
+           _POSITIVE_DOUBLES)
+    @settings(max_examples=300, deadline=None)
+    def test_finite_in_range_and_within_budget(self, hi, lo):
+        # hi >= max/2, so hi + lo overflows for the larger lo; on the scalar
+        # path and the grid path (with and without a buffer to write into)
+        lo = min(lo, hi)
+        ref = oracles.mp_means(hi, lo)
+        pair = np.array([hi]), np.array([lo])
+        for tag, kernel in self.KERNELS.items():
+            for value in (kernel(hi, lo), *kernel(*pair), *kernel(*pair, out=np.empty(1))):
+                assert math.isfinite(value) and lo <= value <= hi, (tag, hi, lo, value)
+                # past u = (hi - lo)/lo = 1e15, y = (log(hi) - log(lo))/2 cancels
+                # and L loses up to some 13 ulp, sum overflow or not
+                if tag != "L" or (hi - lo) / lo < 1e15:
+                    assert _ulps(value, ref[tag]) <= self.BUDGET[tag], (tag, hi, lo, value)
 
 
 class TestDualRoutes:

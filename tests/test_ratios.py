@@ -119,6 +119,25 @@ class TestEndpointLimits:
         assert abs(ratios.endpoint_limit(RatioFn.X_OVER_P, "half_pi") - oracles.PI_OVER_2E) < 1e-8
         assert abs(ratios.endpoint_limit(RatioFn.SEIFFERT_GAP_RATIO, "half_pi") - oracles.C_UPPER) < 1e-8
 
+    def test_limit_targets(self):
+        fn = RatioFn
+        assert {
+            (f, endpoint): ratios.limit_target(f, endpoint)
+            for f in fn
+            for endpoint in ("zero", "half_pi")
+        } == {
+            (fn.LOG_GAP_EXPONENT, "zero"): 1.0,
+            (fn.LOG_GAP_EXPONENT, "half_pi"): math.log(_PI / 2.0) / math.log(2.0 * _E / _PI),
+            (fn.X_GAP_RATIO, "zero"): 2.0 / 3.0,
+            (fn.X_GAP_RATIO, "half_pi"): (_E - 1.0) / _E,
+            (fn.SEIFFERT_GAP_RATIO, "zero"): 1.0,
+            (fn.SEIFFERT_GAP_RATIO, "half_pi"): 2.0 * _E / (_PI * (_E - 1.0)),
+            (fn.X_OVER_P, "zero"): 1.0,
+            (fn.X_OVER_P, "half_pi"): _PI / (2.0 * _E),
+            (fn.CUSA_AUX, "zero"): 2.0,
+            (fn.CUSA_AUX, "half_pi"): _PI * _PI / 4.0,
+        }
+
     def test_cusa_aux_limits(self):
         assert abs(ratios.endpoint_limit(RatioFn.CUSA_AUX, "zero") - 2.0) < 1e-8
         assert abs(ratios.endpoint_limit(RatioFn.CUSA_AUX, "half_pi") - _PI * _PI / 4.0) < 1e-8
