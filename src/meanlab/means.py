@@ -17,12 +17,15 @@ the hyperbolic one y = artanh(t) = log(hi/lo)/2, and
     L = G sinh(y)/y    L = A tanh(y)/y   H = G / cosh(y)   Y = G e^(tanh(y)/y - 1)
     log(I/G) = A/L - 1
 
-Direct closed forms are used where they are stable; below ``SERIES_T_THRESHOLD``
-the removable-singularity routes switch to truncated series.  A series or
-overflow branch is evaluated only on the points that take it; a scalar pair
-takes it whole.  A grid kernel given ``out=`` computes its steps in that array
-and returns it, so a caller that reuses its arrays (a grid stage's workspace)
-allocates only the kernel's few temporaries per call.
+L, P, H and I are each one closed form over these, with u = (hi - lo)/lo:
+
+    L = (hi - lo)/(2y)   P = (hi - lo)/(2x)   H = lo (1 + t)   I = hi e^(2y/u - 1)
+
+Only X and Y switch to truncated series, below ``SERIES_T_THRESHOLD``.  A
+series or overflow branch is evaluated only on the points that take it; a
+scalar pair takes it whole.  A grid kernel given ``out=`` computes its steps
+in that array and returns it, so a caller that reuses its arrays (a grid
+stage's workspace) allocates only the kernel's few temporaries per call.
 """
 
 from __future__ import annotations
@@ -37,15 +40,13 @@ import numpy as np
 from . import series
 from .errors import DegeneratePairError, DomainError
 
-#: |t| below which L, P, X, Y switch to their series fallbacks.  Direct
-#: formulas keep roughly 8 fewer digits there; four series terms already
+#: |t| below which X and Y take their exponents from series.  Their direct
+#: exponents keep roughly 8 fewer digits there; four series terms already
 #: restore full double precision.
 SERIES_T_THRESHOLD = 1e-4
 
 #: |p| below which the power-type means use the log-space p -> 0 limit.
 POWER_LIMIT_THRESHOLD = 1e-8
-
-_TINY = np.finfo(float).tiny
 
 #: hi + lo can overflow only where hi exceeds this.
 _HALF_MAX = np.finfo(float).max / 2
@@ -205,9 +206,7 @@ class Pair:
             u = (hi - lo) / lo
             log_ratio = _into(out, np.log1p, u)
         # past u = 1e15 log1p gains nothing, and u itself may overflow
-        log_ratio = _piecewise(
-            u >= 1e15, log_ratio, lambda hi, lo: np.log(hi) - np.log(lo), hi, lo
-        )
+        log_ratio = _piecewise(u >= 1e15, log_ratio, _log_ratio, hi, lo)
         return _into(out, np.multiply, 0.5, log_ratio)
 
     @_cached
@@ -224,6 +223,13 @@ class Pair:
             half_angle = 2.0 * np.arcsin(np.sqrt(_sum_safe(_lo_share, 0, None, hi, lo)))
             x = _into(self._alloc and self._alloc(), np.subtract, 0.5 * math.pi, half_angle)
         return _piecewise(self.t <= 0.9, x, np.arcsin, self.t)
+
+
+def _log_ratio(hi, lo):
+    """log(hi/lo), from the quotient where it is finite; where it overflows,
+    lo < 1 < hi, and log(hi) - log(lo) adds two positive terms."""
+    out = np.log(hi / lo)
+    return _piecewise(np.isinf(out), out, lambda hi, lo: np.log(hi) - np.log(lo), hi, lo)
 
 
 def _pair(a, b, pair):
@@ -253,39 +259,31 @@ def geometric(a, b, *, pair=None, out=None):
 
 
 def harmonic(a, b, *, pair=None, out=None):
-    """H = 2 (lo/(hi + lo)) hi; 2 (lo/(1 + lo/hi)) where lo/(hi + lo) is not
-    a normal double (hi + lo overflows, or lo is that small next to hi)."""
+    """H = lo (1 + t), since 2 hi/(hi + lo) = 1 + t."""
     pair = _pair(a, b, pair)
-    with np.errstate(over="ignore"):
-        out = _into(out, np.divide, pair.lo, _into(out, np.add, pair.hi, pair.lo))
-    tiny = out < _TINY
-    out *= 2.0
-    out *= pair.hi
-    out = _piecewise(tiny, out, lambda lo, hi: 2.0 * (lo / (1.0 + lo / hi)), pair.lo, pair.hi)
+    out = _into(out, np.add, 1.0, pair.t)
+    out *= pair.lo
     return _ret(out, pair.scalar)
+
+
+def _half_slope(pair, angle, out):
+    """(hi - lo)/(2 angle), with hi where hi == lo: L from y, P from x."""
+    with np.errstate(all="ignore"):
+        out = _into(out, np.divide, pair.hi - pair.lo, _into(out, np.multiply, 2.0, angle))
+    return _on_diagonal(pair, out)
+
+
+def logarithmic(a, b, *, pair=None, out=None):
+    """L = (a - b)/log(a/b) = (hi - lo)/(2y)."""
+    pair = _pair(a, b, pair)
+    return _ret(_half_slope(pair, pair.y, out), pair.scalar)
+
+
+logarithmic_direct = logarithmic
 
 
 def _small(pair):
     return pair.t < SERIES_T_THRESHOLD
-
-
-def logarithmic(a, b, *, pair=None, out=None):
-    """L = (a - b)/log(a/b); series route G sinh(y)/y below the threshold."""
-    pair = _pair(a, b, pair)
-    with np.errstate(all="ignore"):
-        out = _into(out, np.divide, pair.hi - pair.lo, _into(out, np.multiply, 2.0, pair.y))
-    out = _piecewise(
-        _small(pair), out, lambda g, y: g * series.sinh_over_y(y, terms=6), pair.g, pair.y
-    )
-    return _ret(_on_diagonal(pair, out), pair.scalar)
-
-
-def logarithmic_direct(a, b):
-    """Pure closed-form route, no series branch (a == b still returns a)."""
-    pair = Pair(a, b)
-    with np.errstate(all="ignore"):
-        out = (pair.hi - pair.lo) / (2.0 * pair.y)
-    return _ret(_on_diagonal(pair, out), pair.scalar)
 
 
 def logarithmic_param(a, b):
@@ -298,35 +296,21 @@ def logarithmic_param(a, b):
 
 
 def identric(a, b, *, pair=None, out=None):
-    """I = (1/e)(a^a/b^b)^(1/(a-b)), via the cancellation-free u-form.
+    """I = (1/e)(a^a/b^b)^(1/(a-b)), anchored at hi.
 
-    With u = (a-b)/b the exponent (a log a - b log b)/(a - b) - 1 rewrites
-    exactly to log b + (1+u) log1p(u)/u - 1, which is stable for all u > 0.
+    With u = (hi - lo)/lo the exponent (hi log hi - lo log lo)/(hi - lo) - 1
+    is exactly log hi + 2y/u - 1, and 2y/u = log1p(u)/u lies in (0, 1).  So
+    I = hi e^(2y/u - 1) with an exponent in (-1, 0); u = inf gives hi/e.
     """
     pair = _pair(a, b, pair)
-    hi, lo = pair.hi, pair.lo
     with np.errstate(all="ignore"):
-        u = hi - lo
-        u /= lo
-        # log1p(u) = 2y exactly while u < 1e15: the exponent is
-        # (1 + u)(2y)/u - 1
-        e = _into(out, np.add, 1.0, u)
-        e *= 2.0 * pair.y
+        u = pair.hi - pair.lo
+        u /= pair.lo
+        e = _into(out, np.multiply, 2.0, pair.y)
         e /= u
         e -= 1.0
         out = _into(out, np.exp, e)
-        out *= lo
-    # for astronomically large ratios (1+u) overflows; anchored at hi the
-    # exponent lo log(hi/lo)/(hi - lo) - 1 stays near -1, where exp does not
-    # amplify its rounding, and 2y = log(hi) - log(lo) there
-    out = _piecewise(
-        u >= 1e15,
-        out,
-        lambda hi, lo, y: hi * np.exp(lo * (2.0 * y) / (hi - lo) - 1.0),
-        hi,
-        lo,
-        pair.y,
-    )
+    out *= pair.hi
     return _ret(_on_diagonal(pair, out), pair.scalar)
 
 
@@ -341,28 +325,12 @@ def identric_param(a, b):
 
 
 def seiffert(a, b, *, pair=None, out=None):
-    """P = (a - b)/(2 arcsin t); series route below the threshold."""
+    """P = (a - b)/(2 arcsin t) = (hi - lo)/(2x)."""
     pair = _pair(a, b, pair)
-    with np.errstate(all="ignore"):
-        out = _into(out, np.divide, pair.hi - pair.lo, _into(out, np.multiply, 2.0, pair.x))
-    out = _piecewise(
-        _small(pair),
-        out,
-        lambda hi, lo, x: (
-            _sum_safe(_mid, 1, None, hi, lo) / (1.0 + series.xoversin_minus_one(x, terms=6))
-        ),
-        pair.hi,
-        pair.lo,
-        pair.x,
-    )
-    return _ret(out, pair.scalar)
+    return _ret(_half_slope(pair, pair.x, out), pair.scalar)
 
 
-def seiffert_direct(a, b):
-    pair = Pair(a, b)
-    with np.errstate(all="ignore"):
-        out = (pair.hi - pair.lo) / (2.0 * pair.x)
-    return _ret(_on_diagonal(pair, out), pair.scalar)
+seiffert_direct = seiffert
 
 
 def seiffert_param(a, b):
@@ -578,7 +546,7 @@ class PositivePair:
     @property
     def t(self) -> float:
         """(a - b)/(a + b), signed; always in (-1, 1)."""
-        return (self.a - self.b) / (self.a + self.b)
+        return math.copysign(float(Pair(self.a, self.b).t), self.a - self.b)
 
 
 @dataclass(frozen=True)
@@ -590,16 +558,12 @@ class ParamPoint:
 
 
 def param_point(pair: PositivePair) -> ParamPoint:
-    """Coordinates satisfying cos(x) = G/A and cosh(y) = A/G exactly."""
+    """Coordinates satisfying cos(x) = G/A and cosh(y) = A/G exactly: the
+    x and y of :class:`Pair`."""
     if pair.a == pair.b:
         raise DegeneratePairError("x, y are undefined at a == b; use continuity limits")
-    hi, lo = max(pair.a, pair.b), min(pair.a, pair.b)
-    t = (hi - lo) / (hi + lo)
-    if t > 0.9:
-        x = 0.5 * math.pi - 2.0 * math.asin(math.sqrt(lo / (hi + lo)))
-    else:
-        x = math.asin(t)
-    return ParamPoint(x=x, y=0.5 * math.log1p((hi - lo) / lo))
+    shared = Pair(pair.a, pair.b)
+    return ParamPoint(x=float(shared.x), y=float(shared.y))
 
 
 _PLAIN_TAGS = ("A", "G", "H", "L", "I", "P", "X", "Y")

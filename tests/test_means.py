@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import meanlab.means as M
@@ -111,7 +111,7 @@ class TestAgainstMpmathOracle:
                 (1.7e308, 1e-5), (2.5e-300, 1e-320)],
     )
     def test_identric_past_u_1e15_within_an_ulp(self, a, b):
-        # the branch is anchored at hi, so exp sees an exponent near -1
+        # anchored at hi, exp sees an exponent in (-1, 0)
         with mpmath.workdps(80):
             hi, lo = mpmath.mpf(a), mpmath.mpf(b)
             ref = mpmath.exp((hi * mpmath.log(hi) - lo * mpmath.log(lo)) / (hi - lo) - 1)
@@ -245,6 +245,7 @@ _POSITIVE_DOUBLES = st.floats(
 
 class TestHarmonicOverTheFullRange:
     @given(_POSITIVE_DOUBLES, _POSITIVE_DOUBLES)
+    @example(2.841085417251251e307, 7.895939463771861e307)  # 2.07 ulp as 2 hi (lo/(hi + lo))
     @settings(max_examples=500, deadline=None)
     def test_finite_in_range_and_within_2_ulp(self, a, b):
         # 2ab/(a + b) exactly, on the scalar path and the grid path (with and
@@ -258,6 +259,22 @@ class TestHarmonicOverTheFullRange:
             assert abs(Fraction(float(value)) - exact) <= 2 * ulp, (a, b, value)
 
 
+class TestIdentricOverTheFullRange:
+    @given(_POSITIVE_DOUBLES, _POSITIVE_DOUBLES)
+    @example(1.7976931348623157e308, 1.7976931348623155e308)  # lo e^(...) rounded past max
+    @example(1.5846e308, 1.7674e293)  # exp amplified an exponent near log u
+    @settings(max_examples=300, deadline=None)
+    def test_finite_in_range_and_within_4_ulp(self, a, b):
+        # on the scalar path and the grid path (with and without a buffer to
+        # write into)
+        ref = oracles.mp_means(a, b)["I"]
+        pair = np.array([a]), np.array([b])
+        for value in (M.identric(a, b), *M.identric(*pair), *M.identric(*pair, out=np.empty(1))):
+            assert math.isfinite(value)
+            assert min(a, b) <= value <= max(a, b)
+            assert _ulps(value, ref) <= 4.0, (a, b, value)
+
+
 class TestWidePairs:
     #: ulps from the oracle allowed per kernel whose sums can overflow
     BUDGET = {"A": 0.5, "L": 4.0, "P": 4.0, "X": 4.0, "Y": 4.0}
@@ -266,6 +283,7 @@ class TestWidePairs:
 
     @given(st.floats(min_value=8.988465674311579e307, max_value=1.7976931348623157e308),
            _POSITIVE_DOUBLES)
+    @example(1.739707779278347e308, 6.751665112917915e292)  # L 23 ulp off as log(hi) - log(lo)
     @settings(max_examples=300, deadline=None)
     def test_finite_in_range_and_within_budget(self, hi, lo):
         # hi >= max/2, so hi + lo overflows for the larger lo; on the scalar
@@ -276,10 +294,7 @@ class TestWidePairs:
         for tag, kernel in self.KERNELS.items():
             for value in (kernel(hi, lo), *kernel(*pair), *kernel(*pair, out=np.empty(1))):
                 assert math.isfinite(value) and lo <= value <= hi, (tag, hi, lo, value)
-                # past u = (hi - lo)/lo = 1e15, y = (log(hi) - log(lo))/2 cancels
-                # and L loses up to some 13 ulp, sum overflow or not
-                if tag != "L" or (hi - lo) / lo < 1e15:
-                    assert _ulps(value, ref[tag]) <= self.BUDGET[tag], (tag, hi, lo, value)
+                assert _ulps(value, ref[tag]) <= self.BUDGET[tag], (tag, hi, lo, value)
 
 
 class TestDualRoutes:
@@ -298,8 +313,8 @@ class TestDualRoutes:
     @pytest.mark.parametrize(
         "direct,param",
         [
-            (M.logarithmic_direct, M.logarithmic_param),
-            (M.seiffert_direct, M.seiffert_param),
+            (M.logarithmic, M.logarithmic_param),
+            (M.seiffert, M.seiffert_param),
             (M.x_mean_direct, M.x_mean_param),
             (M.identric_direct, M.identric_param),
             (M.y_mean_direct, M.y_mean),
@@ -311,8 +326,11 @@ class TestDualRoutes:
         assert np.all(np.abs(v1 - v2) <= 1e-12 * np.abs(v2))
 
     def test_primary_matches_both_routes(self):
+        # L and P are their own direct routes; their series routes are the
+        # independent ones
         a, b = self._pairs_with_tiny_band()
-        assert np.all(np.abs(M.logarithmic(a, b) - M.logarithmic_direct(a, b)) <= 1e-12 * M.logarithmic(a, b))
+        assert np.all(np.abs(M.logarithmic(a, b) - M.logarithmic_param(a, b)) <= 1e-12 * M.logarithmic(a, b))
+        assert np.all(np.abs(M.seiffert(a, b) - M.seiffert_param(a, b)) <= 1e-12 * M.seiffert(a, b))
         assert np.all(np.abs(M.x_mean(a, b) - M.x_mean_direct(a, b)) <= 1e-12 * M.x_mean(a, b))
 
 
@@ -339,6 +357,20 @@ class TestParamPoint:
         pt = M.param_point(PositivePair(1.0 + eps, 1.0))
         assert pt.x == pytest.approx(eps / 2, rel=1e-6)
         assert pt.y == pytest.approx(eps / 2, rel=1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a,b", [(1.7e308, 1.6e308), (1e300, 1e-300), (1.0, 1e300)])
+    def test_full_range_against_the_oracle(self, a, b):
+        # hi + lo overflows at the first pair, (hi - lo)/lo at the second
+        with mpmath.workdps(40):
+            hi, lo = mpmath.mpf(max(a, b)), mpmath.mpf(min(a, b))
+            t = (hi - lo) / (hi + lo)
+            x, y = mpmath.asin(t), mpmath.log(hi / lo) / 2
+        pt = M.param_point(PositivePair(a, b))
+        assert _ulps(pt.x, x) <= 2.0 and _ulps(pt.y, y) <= 2.0, pt
+        signed = PositivePair(a, b).t
+        assert _ulps(math.copysign(signed, 1.0), t) <= 2.0 and (signed > 0) == (a > b)
+        assert PositivePair(b, a).t == -signed
 
     def test_degenerate_pair(self):
         with pytest.raises(DegeneratePairError):
@@ -406,8 +438,8 @@ def _bits(values):
 
 class TestBranchCompaction:
     # each kernel evaluates a branch only on the points that take it, so the
-    # grid straddles every branch threshold: t = 1e-4 (series in L, P, X, Y),
-    # t = 0.9 (half-angle arcsin), u = 1e15 (log ratio and I), y = 0.1
+    # grid straddles every branch threshold: t = 1e-4 (series in X, Y),
+    # t = 0.9 (half-angle arcsin), u = 1e15 (log ratio), y = 0.1
     # (series in rel L, Y, I) and |p y| = 700 (power-type asymptote, reached
     # by the orders +-3 from a/b ~ 1e203), plus a == b
     KINDS = (
