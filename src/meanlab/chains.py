@@ -414,6 +414,11 @@ def verify_chain(
 # ---------------------------------------------------------------------------
 
 
+def _named(name, side, sign):
+    """A probed constant that ratios.named_constants() holds, at its value."""
+    return name, _NC[name].value, side, sign
+
+
 #: Chain id -> (member texts as a function of the constants, citation, and
 #: per constant its name, nominal value, side and the sign with which
 #: nominal + sign*eps tightens the bound), in the order of the sharpness rows.
@@ -425,12 +430,12 @@ _PROBED = {
             f"{beta!r}*G + {1.0 - beta!r}*A",
         ),
         "sharp convex combinations of G and A around X",
-        (("alpha", _NC["alpha"].value, "lower", -1.0), ("beta", _NC["beta"].value, "upper", +1.0)),
+        (_named("alpha", "lower", -1.0), _named("beta", "upper", +1.0)),
     ),
     "T21b": (
         lambda alpha1, beta1: (f"A + G - {alpha1!r}*P", "X", f"A + G - {beta1!r}*P"),
         "sharp bounds A + G - c*P around X",
-        (("alpha1", 1.0, "lower", -1.0), ("beta1", _NC["beta1"].value, "upper", +1.0)),
+        (_named("alpha1", "lower", -1.0), _named("beta1", "upper", +1.0)),
     ),
     "T26": (
         lambda alpha2, beta2: (
@@ -439,12 +444,12 @@ _PROBED = {
             f"(A*X^{beta2!r})^(1/(1+{beta2!r}))",
         ),
         "sharp exponents placing P between geometric interpolations of A and X",
-        (("alpha2", 2.0, "lower", +1.0), ("beta2", _NC["beta2"].value, "upper", +1.0)),
+        (_named("alpha2", "lower", +1.0), _named("beta2", "upper", +1.0)),
     ),
     "E11": (
         lambda p, q: (f"Mp[{p!r}]", "X", f"Mp[{q!r}]"),
         "power-mean window for X (Chu, Long et al.)",
-        (("p", _THIRD, "lower", +1.0), ("q", _Q, "upper", -1.0)),
+        (("p", _THIRD, "lower", +1.0), _named("q", "upper", -1.0)),
     ),
     "E12": (
         lambda alpha, beta: (f"Hp[{alpha!r}]", "X", f"Hp[{beta!r}]"),
@@ -457,7 +462,7 @@ _PROBED = {
     "T24": (
         lambda s, k: (f"Mp[{s!r}]", "(P+X)/2", f"Mp[{k!r}]"),
         "(P+X)/2 between the power means of orders 1/2 and k",
-        (("s", 0.5, "lower", +1.0), ("k", _NC["k"].value, "upper", -1.0)),
+        (("s", 0.5, "lower", +1.0), _named("k", "upper", -1.0)),
     ),
 }
 

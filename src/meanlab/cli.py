@@ -117,7 +117,7 @@ def _cmd_limit(args) -> int:
             f"unknown ratio function {args.function!r}; choose from"
             f" {sorted(_RATIO_FN_NAMES)}"
         )
-    endpoints = ["zero", "half_pi"] if args.endpoint == "both" else [args.endpoint]
+    endpoints = ratios.ENDPOINTS if args.endpoint == "both" else [args.endpoint]
     for ep in endpoints:
         est = ratios.endpoint_limit(fn, ep)
         target = ratios.limit_target(fn, ep)
@@ -211,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit", help="endpoint limits of the ratio functions")
     p.add_argument("function", help="ratio function name")
-    p.add_argument("--endpoint", choices=["zero", "half_pi", "both"], default="both")
+    p.add_argument("--endpoint", choices=[*ratios.ENDPOINTS, "both"], default="both")
     p.set_defaults(fn=_cmd_limit)
 
     p = sub.add_parser("emit", help="write a two-column table of a function")

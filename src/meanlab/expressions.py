@@ -15,8 +15,10 @@ Grammar (usual precedence, ^ binds tightest and right-associates):
 
 Evaluation is elementwise over numpy arrays of pairs.  Subtrees of the shapes
 M1 - M2, log(M1/M2), 1 - M1/M2 and M1/M2 - 1 (mean leaves only) are computed
-through the relative-to-A kernels, so differences that vanish at a == b keep
-full relative accuracy instead of dissolving into rounding noise.
+from d = log(M1/M2) = u1 - u2, the difference of the means' log offsets
+u = log(M/A), so differences that vanish at a == b keep full relative
+accuracy instead of dissolving into rounding noise, and stay finite however
+far the means fall below A.
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ class Workspace:
 
 
 class GridContext:
-    """One grid of pairs with a cache of mean values and relative offsets.
+    """One grid of pairs with a cache of mean values and log offsets.
 
     Every expression evaluated on the same context shares the cache, so each
     mean kernel runs once per grid however many expressions use it, and all
@@ -379,16 +381,16 @@ class GridContext:
         got = self._cache.get(("mean", kind))
         return self._compute(("mean", kind), means.mean_kernel(kind)) if got is None else got
 
-    def rel(self, kind: MeanKind):
-        got = self._cache.get(("rel", kind))
+    def offset(self, kind: MeanKind):
+        """The log offset u = log(M/A) of a mean of the grid's pairs."""
+        got = self._cache.get(("offset", kind))
         if got is None:
-            kernel = functools.partial(means.rel_to_arithmetic, kind)
-            got = self._compute(("rel", kind), kernel)
+            got = self._compute(("offset", kind), means.log_over_arithmetic, kind)
         return got
 
-    def _compute(self, key, kernel):
+    def _compute(self, key, kernel, *args):
         out = None if self._workspace is None else self._lend()
-        got = kernel(self.a, self.b, pair=self.pair, out=out)
+        got = kernel(*args, self.a, self.b, pair=self.pair, out=out)
         # a scalar pair's value is held as a numpy scalar, on which the
         # expression's arithmetic is some 20 times cheaper than on a 0-d array
         got = np.float64(got) if isinstance(got, float) else np.asarray(got)
@@ -443,8 +445,8 @@ def _guard(ctx: GridContext, node: MeanExpr, values, condition_bad):
 
 
 def _offset_form(node: MeanExpr):
-    """(form, kind1, kind2) when node is computed from its means' offsets to
-    A: ``log(M1/M2)``, ``M1 - M2``, ``1 - M1/M2`` or ``M1/M2 - 1`` of mean
+    """(form, kind1, kind2) when node is computed from its means' log
+    offsets: ``log(M1/M2)``, ``M1 - M2``, ``1 - M1/M2`` or ``M1/M2 - 1`` of mean
     symbols.  Else None."""
     if isinstance(node, Call) and node.fn == "log":
         ratio = _mean_ratio(node.arg)
@@ -463,33 +465,38 @@ def _offset_form(node: MeanExpr):
 
 def cached_reads(node: MeanExpr) -> set:
     """The cached values that evaluating node reads: ("mean", kind) for a
-    mean of the grid's pairs and ("rel", kind) for its offset to A."""
+    mean of the grid's pairs and ("offset", kind) for its log offset."""
     form = _offset_form(node)
     if form is not None:
-        reads = {("rel", form[1]), ("rel", form[2])}
-        if form[0] == "difference":
-            reads.add(("mean", means.PLAIN_KINDS["A"]))
-        return reads
+        names = ("offset", "mean") if form[0] == "difference" else ("offset",)
+        return {(name, kind) for name in names for kind in form[1:]}
     if isinstance(node, MeanSymbol):
         return {("mean", node.kind)}
     children = [getattr(node, f) for f in ("lhs", "rhs", "arg") if hasattr(node, f)]
     return set().union(*(cached_reads(c) for c in children))
 
 
-def _eval_offset_form(ctx: GridContext, form: str, kind1: MeanKind, kind2: MeanKind):
-    if form == "difference":
-        a_mean = ctx.mean(means.PLAIN_KINDS["A"])
-        diff = ctx._apply(np.subtract, ctx.rel(kind1), ctx.rel(kind2))
-        return ctx._apply(np.multiply, a_mean, diff)
-    # M1/M2 - 1 = (r1 - r2)/(1 + r2), which keeps its relative accuracy as
-    # M1/M2 -> 1
-    r1, r2 = ctx.rel(kind1), ctx.rel(kind2)
-    offset = ctx._apply(np.divide, ctx._apply(np.subtract, r1, r2), ctx._apply(np.add, 1.0, r2))
+def _signed_gap(d, out=None):
+    """sign(d) (1 - e^(-|d|)): (M1 - M2)/max(M1, M2) for d = log(M1/M2).
+    expm1 never sees a positive argument, so it cannot overflow."""
+    return means._into(out, np.copysign, np.expm1(-abs(d)), d)
+
+
+def _eval_offset_form(ctx: GridContext, node: MeanExpr, form: str, kind1, kind2):
+    """An offset form as a function of d = log(M1/M2) = u1 - u2; a
+    non-finite result raises, as a non-finite quotient does."""
+    d = ctx._apply(np.subtract, ctx.offset(kind1), ctx.offset(kind2))
     if form == "log":
-        return ctx._apply(np.log1p, offset)
-    if form == "one_minus":
-        return ctx._apply(np.negative, offset)
-    return offset
+        out = d
+    elif form == "difference":
+        top = ctx._apply(np.maximum, ctx.mean(kind1), ctx.mean(kind2))
+        out = ctx._apply(np.multiply, top, ctx._apply(_signed_gap, d))
+    else:  # M1/M2 - 1 = expm1(d)
+        with np.errstate(all="ignore"):
+            out = ctx._apply(np.expm1, d)
+        if form == "one_minus":
+            out = ctx._apply(np.negative, out)
+    return _guard(ctx, node, out, ~np.isfinite(np.asarray(out)))
 
 
 _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
@@ -506,7 +513,7 @@ def _eval(node: MeanExpr, ctx: GridContext):
     if getattr(node, "fn", None) == "log" or getattr(node, "op", None) == "-":
         form = _offset_form(node)
         if form is not None:
-            return _eval_offset_form(ctx, *form)
+            return _eval_offset_form(ctx, node, *form)
     if isinstance(node, Call):
         arg = _eval(node.arg, ctx)
         if node.fn == "log":

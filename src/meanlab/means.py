@@ -79,7 +79,7 @@ def _piecewise(mask, out, fn, *args):
     Scalar args pass whole.  A 0-d mask (a scalar pair) takes one branch
     whole: it returns fn(*args) or out, with no gather or scatter.  The
     caller must use the returned value, since a scalar cannot be written in
-    place."""
+    place.  fn may write over its gathered array arguments."""
     if not np.ndim(mask):
         if not mask:
             return out
@@ -224,6 +224,30 @@ class Pair:
             x = _into(self._alloc and self._alloc(), np.subtract, 0.5 * math.pi, half_angle)
         return _piecewise(self.t <= 0.9, x, np.arcsin, self.t)
 
+    @_cached
+    def log_g(self):
+        """log(G/A) = log1p(-t^2)/2.  Past y = 1 log1p(-t^2) loses the
+        digits of 1 - t^2, and from a ratio of about 1e16 it is log1p(-1);
+        there it is -log(cosh y) = -(y - log 2 + log1p(e^(-2y)))."""
+        buf = self._alloc and self._alloc()
+        with np.errstate(all="ignore"):
+            out = _into(buf, np.log1p, _into(buf, np.multiply, -self.t, self.t))
+        out *= 0.5
+        return _piecewise(self.y > 1.0, out, _minus_log_cosh, self.y)
+
+
+def _minus_log_cosh(y):
+    """-(y - log 2 + log1p(e^(-2y))) = log(G/A), for y > 1.  Most points of
+    a grid to large ratios take it, so it holds one temporary and writes
+    over y, a gathered copy."""
+    e = -2.0 * y
+    buf = e if isinstance(e, np.ndarray) else None
+    e = _into(buf, np.log1p, _into(buf, np.exp, e))
+    y -= math.log(2.0)
+    y += e
+    y *= -1.0
+    return y
+
 
 def _log_ratio(hi, lo):
     """log(hi/lo), from the quotient where it is finite; where it overflows,
@@ -336,7 +360,8 @@ seiffert_direct = seiffert
 def seiffert_param(a, b):
     """Series route P = A / (x/sin x) on the whole domain."""
     pair = Pair(a, b)
-    return _ret(0.5 * (pair.hi + pair.lo) / (1.0 + series.xoversin_minus_one(pair.x)), pair.scalar)
+    sin_ratio = 1.0 + series.xoversin_minus_one(pair.x)
+    return _ret(arithmetic(a, b, pair=pair) / sin_ratio, pair.scalar)
 
 
 def x_mean(a, b, *, pair=None, out=None):
@@ -363,7 +388,7 @@ def x_mean_direct(a, b):
     """Defining route X = A e^(G/P - 1)."""
     pair = Pair(a, b)
     p = seiffert(a, b, pair=pair)
-    return _ret(0.5 * (pair.hi + pair.lo) * np.exp(pair.g / p - 1.0), pair.scalar)
+    return _ret(arithmetic(a, b, pair=pair) * np.exp(pair.g / p - 1.0), pair.scalar)
 
 
 def y_mean(a, b, *, pair=None, out=None):
@@ -440,87 +465,49 @@ def heronian_mean(a, b, p, *, pair=None, out=None):
 
 
 # ---------------------------------------------------------------------------
-# Relative-to-A kernels: rel(M) = M/A - 1 computed with full relative
-# accuracy even when it is O(t^2).  These power the stable evaluation of
-# vanishing mean differences like (G - Y)/(A - L) and log(X/A).
+# Log offsets u = log(M/A), with full relative accuracy even where they are
+# O(t^2), and finite however far M falls below A.  Vanishing differences of
+# means like G - Y and log(X/A) are functions of u1 - u2 (see expressions).
 # ---------------------------------------------------------------------------
 
-#: y below which the relative kernels of L, Y and I use their series; above
-#: it the direct transcendentals are as accurate.
+#: y below which the offsets of L, Y and I use their series; above it the
+#: direct transcendentals are as accurate.
 _REL_DIRECT_CUTOFF = 0.1
 
 
-def _rel_geometric(t, out=None):
-    """G/A - 1 = -t^2/(1 + sqrt(1 - t^2))."""
-    t2 = t * t
-    d = _into(out, np.sqrt, _into(out, np.subtract, 1.0, t2))
-    d += 1.0
-    return _into(out, np.divide, -t2, d)
-
-
-def _log_geometric_over_arithmetic(pair):
-    """log(G/A) = -log(cosh y).  log1p(G/A - 1) loses the digits of G/A as
-    t -> 1, and from a ratio of about 1e16 it is log1p(-1); past y = 1 the
-    form -(y - log 2 + log1p(e^(-2y))) keeps them."""
+def _hyperbolic_exponent(tag, y, out=None):
+    """tanh(y)/y - 1 (L/A - 1 and log(Y/G)), or for I y coth(y) - 1
+    (A/L - 1 = log(I/G)); by series below the cutoff."""
     with np.errstate(all="ignore"):
-        out = np.log1p(_rel_geometric(pair.t))
-    return _piecewise(
-        pair.y > 1.0, out, lambda y: -(y - math.log(2.0) + np.log1p(np.exp(-2.0 * y))), pair.y
-    )
-
-
-def _rel_logarithmic(y, out=None):
-    with np.errstate(all="ignore"):
-        out = _into(out, np.tanh, y)
-        out /= y
+        tanh = _into(out, np.tanh, y)
+        out = _into(out, np.divide, y, tanh) if tag == "I" else _into(out, np.divide, tanh, y)
         out -= 1.0
-    return _piecewise(
-        y < _REL_DIRECT_CUTOFF, out, lambda v: series.tanh_over_y_minus_one(v, terms=10), y
-    )
+    fn = series.ycothy_minus_one if tag == "I" else series.tanh_over_y_minus_one
+    return _piecewise(y < _REL_DIRECT_CUTOFF, out, lambda v: fn(v, terms=10), y)
 
 
-def _rel_identric_exponent(y, out=None):
-    # A/L - 1 = y coth y - 1
-    with np.errstate(all="ignore"):
-        out = _into(out, np.divide, y, _into(out, np.tanh, y))
-        out -= 1.0
-    return _piecewise(
-        y < _REL_DIRECT_CUTOFF, out, lambda v: series.ycothy_minus_one(v, terms=10), y
-    )
-
-
-def rel_to_arithmetic(kind: "MeanKind", a, b, *, pair=None, out=None):
-    """(M/A) - 1 elementwise, accurate in relative terms for every t; on a
-    grid given ``out=``, written there and returned."""
+def log_over_arithmetic(kind: "MeanKind", a, b, *, pair=None, out=None):
+    """u = log(M/A) elementwise, accurate in relative terms for every t; on
+    a grid given ``out=``, written there and returned."""
     pair = _pair(a, b, pair)
     tag = kind.tag
     if tag == "A":
-        if out is None:
-            out = np.zeros_like(pair.hi)
-        else:
-            out.fill(0.0)
+        out = _into(out, np.multiply, 0.0, pair.hi)
     elif tag == "G":
-        out = _rel_geometric(pair.t, out)
-    elif tag == "H":
-        out = _into(out, np.negative, _into(out, np.multiply, pair.t, pair.t))
-    elif tag == "P":
-        sser = series.xoversin_minus_one(pair.x)
-        out = _into(out, np.divide, -sser, _into(out, np.add, 1.0, sser))
+        out = _into(out, np.positive, pair.log_g)
+    elif tag == "H":  # H/A = (G/A)^2
+        out = _into(out, np.multiply, 2.0, pair.log_g)
+    elif tag == "P":  # P/A = sin(x)/x
+        out = _into(out, np.negative, _into(out, np.log1p, series.xoversin_minus_one(pair.x)))
     elif tag == "X":
-        out = _into(out, np.expm1, series.xcotx_minus_one(pair.x))
+        out = _into(out, np.positive, series.xcotx_minus_one(pair.x))
     elif tag == "L":
-        out = _rel_logarithmic(pair.y, out)
+        out = _into(out, np.log1p, _hyperbolic_exponent(tag, pair.y, out))
     elif tag in ("Y", "I"):
-        # rg + e + rg e, with e = expm1(the exponent of M/G)
-        exponent = _rel_logarithmic if tag == "Y" else _rel_identric_exponent
-        e = _into(out, np.expm1, exponent(pair.y, out))
-        rg = _rel_geometric(pair.t)
-        rg_e = rg * e
-        out = _into(out, np.add, rg, e)
-        out += rg_e
+        out = _into(out, np.add, _hyperbolic_exponent(tag, pair.y, out), pair.log_g)
     elif tag in _POWER_TYPE:
         expo = _power_exponent(pair, kind.exponent, *_POWER_TYPE[tag], out)
-        out = _into(out, np.expm1, _into(out, np.add, _log_geometric_over_arithmetic(pair), expo))
+        out = _into(out, np.add, expo, pair.log_g)
     else:  # pragma: no cover
         raise DomainError(f"unknown mean kind {kind!r}")
     return _ret(out, pair.scalar)

@@ -176,7 +176,8 @@ def check_monotone(fn: RatioFn, samples: int, delta: float = 1e-6) -> Monotonici
     return MonotonicityVerdict("violated", (float(xs[bad]), float(xs[bad + 1])))
 
 
-_ENDPOINTS = ("zero", "half_pi")
+#: The interval ends at which endpoint_limit extrapolates.
+ENDPOINTS = ("zero", "half_pi")
 
 
 def _richardson(values: np.ndarray, ratio: float, levels: int) -> float:
@@ -203,8 +204,8 @@ def endpoint_limit(fn: RatioFn, endpoint: str, offset: float = 1e-2, nodes: int 
     (ratio 4); near pi/2 the expansion has every power of the distance d, so
     the plain ratio-2 tableau applies.  Four extrapolation levels.
     """
-    if endpoint not in _ENDPOINTS:
-        raise DomainError(f"endpoint must be one of {_ENDPOINTS}")
+    if endpoint not in ENDPOINTS:
+        raise DomainError(f"endpoint must be one of {ENDPOINTS}")
     ks = np.arange(nodes)
     steps = offset * 0.5**ks
     if endpoint == "zero":

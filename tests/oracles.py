@@ -54,6 +54,10 @@ def _mp_mean(kind, a, b):
     return mp_means(a, b)[kind.tag]
 
 
+#: a/b from the diagonal to the top of the exponent range, with b = 1
+FULL_RANGE = (1.0 + 1e-9, 1.0 + 1e-6, 1.001, 1.5, 3.0, 10.0, 1e3, 1e8, 1e12, 1e15, 1e16,
+              1e20, 1e50, 1e100, 1e200, 1e300)
+
 _MP_FUNCTIONS = {"exp": exp, "log": log, "sqrt": sqrt}
 _MP_OPS = {
     "+": operator.add,

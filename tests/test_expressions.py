@@ -170,7 +170,7 @@ class TestScalarMatchesGrid:
 class TestStablePatterns:
     def test_mean_difference_near_diagonal(self):
         # (G - Y)/(A - L) at t ~ 5e-9: naive subtraction retains ~7 digits,
-        # the rel-kernel path keeps full precision
+        # the offset path keeps full precision
         a, b = 1.0 + 1e-8, 1.0
         got = float(_ev("(G - Y)/(A - L)", a, b))
         m = oracles.mp_means(a, b)
@@ -190,6 +190,51 @@ class TestStablePatterns:
         m = oracles.mp_means(a, b)
         ref = float(2 * (1 - m["A"] / m["P"]))
         assert got == pytest.approx(ref, rel=1e-10)
+
+    @staticmethod
+    def _offset_members():
+        """Every subtree of a registry member that takes an offset form,
+        plus forms whose means fall far below A."""
+        from meanlab.chains import builtin_suite
+        from meanlab.expressions import _offset_form
+
+        def subtrees(node):
+            yield node
+            for name in ("lhs", "rhs", "arg"):
+                if hasattr(node, name):
+                    yield from subtrees(getattr(node, name))
+
+        texts = {t for chain in builtin_suite() for t in chain.member_texts}
+        texts |= {"log(Y/G)", "1 - G/A", "H - G", "I - L"}
+        found = {to_text(n): n for t in texts for n in subtrees(parse_expr(t))}
+        return sorted((text, n) for text, n in found.items() if _offset_form(n) is not None)
+
+    @pytest.mark.filterwarnings("error")
+    def test_offset_members_over_the_full_range(self):
+        # both means' offsets tend to -inf together as a/b grows; their
+        # difference must not cancel
+        members = self._offset_members()
+        assert {"(G - Y)", "(A - L)", "log((X / A))", "(1.0 - (A / P))"} <= {t for t, _ in members}
+        for r in oracles.FULL_RANGE:
+            for text, node in members:
+                got = evaluate(node, r, 1.0)
+                ref = oracles.mp_eval(node, r, 1.0)
+                assert math.isfinite(got), (text, r)
+                assert float(abs((got - ref) / ref)) < 1e-13, (text, r, got, float(ref))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a,b", [(1.7e308, 1.6e308), (1e300, 1e-300), (1.7e308, 5e-324)])
+    def test_offset_forms_at_the_ends_of_the_range(self, a, b):
+        # finite, or an EvalError where the plain quotient overflows too
+        for m1 in "AGHLIPXY":
+            for m2 in "AGHLIPXY":
+                for form in ("{} - {}", "log({}/{})", "1 - {}/{}", "{}/{} - 1"):
+                    text = form.format(m1, m2)
+                    try:
+                        got = _ev(text, a, b)
+                    except EvalError:
+                        continue
+                    assert math.isfinite(got), (text, got)
 
     def test_patterns_consistent_with_generic_path(self):
         # where both are accurate the pattern kernels and the naive route

@@ -86,24 +86,25 @@ def _ulps(value, ref):
 
 
 class TestAgainstMpmathOracle:
-    #: a/b from the diagonal to the top of the exponent range, with b = 1
-    FULL_RANGE = (1.0 + 1e-9, 1.0 + 1e-6, 1.001, 1.5, 3.0, 10.0, 1e3, 1e8, 1e12, 1e15, 1e16,
-                  1e20, 1e50, 1e100, 1e200, 1e300)
+    FULL_RANGE = oracles.FULL_RANGE
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "kind",
-        [MeanKind.power(p) for p in (-2.0, 0.5, 3.0)] + [MeanKind.heronian(p) for p in (0.5, 2.0)],
+        [MeanKind(tag) for tag in "GHLIPXY"]
+        + [MeanKind.power(p) for p in (-2.0, 0.5, 3.0)]
+        + [MeanKind.heronian(p) for p in (0.5, 2.0)],
         ids=lambda k: k.label(),
     )
     def test_power_type_rel_over_the_full_range(self, kind):
-        # log(G/A) comes from y once t is near 1, where log1p(G/A - 1)
-        # cancels and from a/b ~ 1e16 is log1p(-1)
+        # log(G/A) comes from y once t is near 1, where log1p(-t^2) cancels
+        # and from a/b ~ 1e16 is log1p(-1)
         for r in self.FULL_RANGE:
             with mpmath.workdps(80):
-                ref = oracles._mp_mean(kind, r, 1.0) / ((mpmath.mpf(r) + 1) / 2) - 1
-            got = M.rel_to_arithmetic(kind, r, 1.0)
+                ref = mpmath.log(oracles._mp_mean(kind, r, 1.0) / ((mpmath.mpf(r) + 1) / 2))
+            got = M.log_over_arithmetic(kind, r, 1.0)
             assert _rel(got, float(ref)) < 1e-12, (kind.label(), r, got, float(ref))
+        assert M.log_over_arithmetic(MeanKind("A"), self.FULL_RANGE[-1], 1.0) == 0.0
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -304,10 +305,10 @@ class TestDualRoutes:
         b2 = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 100))
         u = np.exp(rng.uniform(math.log(1e-9), math.log(2e-5), 100))
         a2 = b2 * (1.0 + u)
-        a = np.concatenate([a1, a2])
-        b = np.concatenate([b1, b2])
-        t = np.abs(a - b) / (a + b)
-        assert int(np.sum(t < 1e-5)) >= 100
+        # and a pair whose sum overflows
+        a = np.concatenate([a1, a2, [1.7e308]])
+        b = np.concatenate([b1, b2, [1.6e308]])
+        assert int(np.sum(M.Pair(a, b).t < 1e-5)) >= 100
         return a, b
 
     @pytest.mark.parametrize(
@@ -320,11 +321,13 @@ class TestDualRoutes:
             (M.y_mean_direct, M.y_mean),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_routes_agree(self, direct, param):
         a, b = self._pairs_with_tiny_band()
         v1, v2 = direct(a, b), param(a, b)
         assert np.all(np.abs(v1 - v2) <= 1e-12 * np.abs(v2))
 
+    @pytest.mark.filterwarnings("error")
     def test_primary_matches_both_routes(self):
         # L and P are their own direct routes; their series routes are the
         # independent ones
@@ -440,8 +443,9 @@ class TestBranchCompaction:
     # each kernel evaluates a branch only on the points that take it, so the
     # grid straddles every branch threshold: t = 1e-4 (series in X, Y),
     # t = 0.9 (half-angle arcsin), u = 1e15 (log ratio), y = 0.1
-    # (series in rel L, Y, I) and |p y| = 700 (power-type asymptote, reached
-    # by the orders +-3 from a/b ~ 1e203), plus a == b
+    # (series in the offsets of L, Y, I), y = 1 (log(G/A)) and |p y| = 700
+    # (power-type asymptote, reached by the orders +-3 from a/b ~ 1e203),
+    # plus a == b
     KINDS = (
         [MeanKind(tag) for tag in "AGHLIPXY"]
         + [MeanKind.power(p) for p in (-3.0, -1.0, 0.0, 1e-9, 1.0 / 3.0, 0.5, 3.0)]
@@ -468,7 +472,8 @@ class TestBranchCompaction:
         pair = M.Pair(*self._grid())
         u = (pair.hi - pair.lo) / pair.lo
         y3 = np.abs(3.0 * pair.y)
-        for mask in (pair.eq, pair.t < 1e-4, pair.t > 0.9, u >= 1e15, pair.y < 0.1, y3 > 700.0):
+        masks = (pair.eq, pair.t < 1e-4, pair.t > 0.9, u >= 1e15, pair.y < 0.1, pair.y > 1.0)
+        for mask in (*masks, y3 > 700.0):
             assert 0 < int(np.sum(mask)) < mask.size
 
     def test_both_sides_of_each_threshold_match_the_oracle(self):
@@ -486,7 +491,7 @@ class TestBranchCompaction:
 
         def run(kind, a, b, pair):
             if rel:
-                return M.rel_to_arithmetic(kind, a, b, pair=pair)
+                return M.log_over_arithmetic(kind, a, b, pair=pair)
             return M.mean_kernel(kind)(a, b, pair=pair)
 
         for kind in self.KINDS:
@@ -534,7 +539,7 @@ class TestOutArgument:
     def test_out_is_returned_and_matches_bitwise(self, rel):
         def run(kind, a, b, pair, out):
             if rel:
-                return M.rel_to_arithmetic(kind, a, b, pair=pair, out=out)
+                return M.log_over_arithmetic(kind, a, b, pair=pair, out=out)
             return M.mean_kernel(kind)(a, b, pair=pair, out=out)
 
         for a, b in self._grids():
@@ -556,8 +561,8 @@ class TestOutArgument:
             return lent[-1]
 
         pair, plain = M.Pair(a, b, alloc=alloc), M.Pair(a, b)
-        for name in ("hi", "lo", "t", "g", "y", "x"):
+        for name in ("hi", "lo", "t", "g", "y", "x", "log_g"):
             got = getattr(pair, name)
             assert any(got is buf for buf in lent), name
             assert _bits(got).tolist() == _bits(getattr(plain, name)).tolist(), name
-        assert len(lent) == 6
+        assert len(lent) == 7
