@@ -341,7 +341,7 @@ class GridContext:
         array operand, it is written over the first operand that is a node
         result, or else into a newly lent buffer, and the other node-result
         operands are given back."""
-        if self._workspace is None or not any(np.ndim(x) for x in args):
+        if self._workspace is None or not any(isinstance(x, np.ndarray) for x in args):
             return _OPERATORS.get(fn, fn)(*args)
         owned = [x for x in args if id(x) in self._results]
         if owned:

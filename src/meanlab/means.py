@@ -21,9 +21,16 @@ L, P, H and I are each one closed form over these, with u = (hi - lo)/lo:
 
     L = (hi - lo)/(2y)   P = (hi - lo)/(2x)   H = lo (1 + t)   I = hi e^(2y/u - 1)
 
-Only X and Y switch to truncated series, below ``SERIES_T_THRESHOLD``.  A
-series or overflow branch is evaluated only on the points that take it; a
-scalar pair takes it whole.  A grid kernel given ``out=`` computes its steps
+X and Y each take their exponent from one function that the log offsets
+(:func:`log_over_arithmetic`) share: x cot x - 1 = log(X/A), and
+w = y coth y - 1 >= 0, whence, with nothing cancelling,
+
+    log(I/G) = w     log(L/A) = -log1p(w)     log(Y/G) = tanh(y)/y - 1 = w/(-1 - w)
+
+Both take truncated series below one threshold on t, ``SERIES_T_THRESHOLD``;
+the only other series is P's offset, x/sin x - 1 at every t.  A series or
+overflow branch is evaluated only on the points that take it; a scalar pair
+takes it whole.  A grid kernel given ``out=`` computes its steps
 in that array and returns it, so a caller that reuses its arrays (a grid
 stage's workspace) allocates only the kernel's few temporaries per call.
 """
@@ -40,10 +47,11 @@ import numpy as np
 from . import series
 from .errors import DegeneratePairError, DomainError
 
-#: |t| below which X and Y take their exponents from series.  Their direct
-#: exponents keep roughly 8 fewer digits there; four series terms already
-#: restore full double precision.
-SERIES_T_THRESHOLD = 1e-4
+#: t below which the exponents x cot x - 1 and y coth y - 1 take their
+#: series (radius pi), within a few ulp up to x ~ 1.07 and y ~ 1.35 here.
+#: Their direct forms cancel as t -> 0 and are within a few ulp from about
+#: t = 0.8 up.
+SERIES_T_THRESHOLD = 0.875
 
 #: |p| below which the power-type means use the log-space p -> 0 limit.
 POWER_LIMIT_THRESHOLD = 1e-8
@@ -76,11 +84,12 @@ def _into(out, ufunc, *args):
 def _piecewise(mask, out, fn, *args):
     """out with fn(*(arg[mask] for arg in args)) written at the masked
     points; fn runs on those points only, and not at all if there are none.
-    Scalar args pass whole.  A 0-d mask (a scalar pair) takes one branch
-    whole: it returns fn(*args) or out, with no gather or scatter.  The
-    caller must use the returned value, since a scalar cannot be written in
-    place.  fn may write over its gathered array arguments."""
-    if not np.ndim(mask):
+    Args other than arrays pass whole; 0-d arrays must not arrive here.  A
+    numpy bool mask (a scalar pair) takes one branch whole: it returns
+    fn(*args) or out, with no gather or scatter.  The caller must use the
+    returned value, since a scalar cannot be written in place.  fn may write
+    over its gathered array arguments."""
+    if not isinstance(mask, np.ndarray):
         if not mask:
             return out
         with np.errstate(all="ignore"):
@@ -88,7 +97,8 @@ def _piecewise(mask, out, fn, *args):
     idx = np.flatnonzero(mask)
     if idx.size:
         with np.errstate(all="ignore"):
-            np.put(out, idx, fn(*(arg.take(idx) if np.ndim(arg) else arg for arg in args)))
+            taken = (arg.take(idx) if isinstance(arg, np.ndarray) else arg for arg in args)
+            np.put(out, idx, fn(*taken))
     return out
 
 
@@ -130,6 +140,11 @@ def _cos_x(hi, lo, g, out):
     return _into(out, np.divide, _into(out, np.multiply, 2.0, g), hi + lo)
 
 
+def _ndim(v):
+    """np.ndim(v), without that call (about 1 us) on an ndarray or a float."""
+    return v.ndim if isinstance(v, np.ndarray) else 0 if isinstance(v, float) else np.ndim(v)
+
+
 class _cached:
     """functools.cached_property without its lock, which Python 3.11 takes
     on every first read; a pair fills in its quantities on one thread."""
@@ -165,7 +180,7 @@ class Pair:
     _alloc = None
 
     def __init__(self, a, b, alloc=None):
-        self.scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+        self.scalar = _ndim(a) == 0 and _ndim(b) == 0
         if self.scalar:  # float comparisons: numpy reductions cost microseconds
             a, b = float(a), float(b)
             if not (0.0 < a < math.inf and 0.0 < b < math.inf):
@@ -297,26 +312,47 @@ def _half_slope(pair, angle, out):
     return _on_diagonal(pair, out)
 
 
+def _x_cot_x_minus_one(pair, out=None):
+    """x cot x - 1 = G/P - 1 = log(X/A).  Above the threshold it is
+    x (G/A)/t - 1, which keeps cos(x) = G/A exact as t -> 1."""
+    w = _sum_safe(_cos_x, 0, out, pair.hi, pair.lo, pair.g)
+    with np.errstate(all="ignore"):
+        w *= pair.x
+        w /= pair.t
+        w -= 1.0
+    return _piecewise(pair.t < SERIES_T_THRESHOLD, w, series.xcotx_minus_one, pair.x)
+
+
+def _y_coth_y_minus_one(pair, out=None):
+    """w = y coth y - 1 = A/L - 1 = log(I/G), y/tanh(y) - 1 above the
+    threshold; w >= 0, so 1 + w never cancels."""
+    with np.errstate(all="ignore"):
+        w = _into(out, np.divide, pair.y, _into(out, np.tanh, pair.y))
+        w -= 1.0
+    return _piecewise(pair.t < SERIES_T_THRESHOLD, w, series.ycothy_minus_one, pair.y)
+
+
+def _tanh_over_y_minus_one(pair, out=None):
+    """tanh(y)/y - 1 = L/A - 1 = log(Y/G) = w/(-1 - w)."""
+    w = _y_coth_y_minus_one(pair, out)
+    return _into(out, np.divide, w, -1.0 - w)
+
+
 def logarithmic(a, b, *, pair=None, out=None):
     """L = (a - b)/log(a/b) = (hi - lo)/(2y)."""
     pair = _pair(a, b, pair)
     return _ret(_half_slope(pair, pair.y, out), pair.scalar)
 
 
-logarithmic_direct = logarithmic
-
-
-def _small(pair):
-    return pair.t < SERIES_T_THRESHOLD
-
-
 def logarithmic_param(a, b):
-    """Hyperbolic route G sinh(y)/y, series below the threshold."""
+    """Hyperbolic route L = G sinh(y)/y, series below the threshold.  Above
+    it G sinh(y) = hi (1 - e^(-2y))/2, which stays finite past y = 710."""
     pair = Pair(a, b)
     with np.errstate(all="ignore"):
-        ratio = np.sinh(pair.y) / pair.y
-    ratio = _piecewise(_small(pair), ratio, lambda y: series.sinh_over_y(y, terms=6), pair.y)
-    return _ret(pair.g * ratio, pair.scalar)
+        out = pair.hi * -np.expm1(-2.0 * pair.y) / (2.0 * pair.y)
+    small = pair.t < SERIES_T_THRESHOLD
+    out = _piecewise(small, out, lambda g, y: g * series.sinh_over_y(y), pair.g, pair.y)
+    return _ret(out, pair.scalar)
 
 
 def identric(a, b, *, pair=None, out=None):
@@ -338,23 +374,18 @@ def identric(a, b, *, pair=None, out=None):
     return _ret(_on_diagonal(pair, out), pair.scalar)
 
 
-identric_direct = identric
-
-
 def identric_param(a, b):
-    """Identity route log(I/G) = A/L - 1."""
+    """Identity route log(I/G) = A/L - 1, anchored at hi = G e^y so that it
+    stays finite where G e^(A/L - 1) overflows."""
     pair = Pair(a, b)
     ratio = arithmetic(a, b, pair=pair) / logarithmic(a, b, pair=pair)
-    return _ret(pair.g * np.exp(ratio - 1.0), pair.scalar)
+    return _ret(pair.hi * np.exp(ratio - 1.0 - pair.y), pair.scalar)
 
 
 def seiffert(a, b, *, pair=None, out=None):
     """P = (a - b)/(2 arcsin t) = (hi - lo)/(2x)."""
     pair = _pair(a, b, pair)
     return _ret(_half_slope(pair, pair.x, out), pair.scalar)
-
-
-seiffert_direct = seiffert
 
 
 def seiffert_param(a, b):
@@ -365,23 +396,11 @@ def seiffert_param(a, b):
 
 
 def x_mean(a, b, *, pair=None, out=None):
-    """X = A e^(x cot x - 1); exponent by series below the threshold.
-
-    Above it x cot x - 1 = arcsin(t) (G/A) / t - 1, which keeps cos(x) = G/A
-    exact as t -> 1."""
+    """X = A e^(x cot x - 1)."""
     pair = _pair(a, b, pair)
-    w = _sum_safe(_cos_x, 0, out, pair.hi, pair.lo, pair.g)
-    with np.errstate(all="ignore"):
-        w *= pair.x
-        w /= pair.t
-        w -= 1.0
-    w = _piecewise(_small(pair), w, lambda x: series.xcotx_minus_one(x, terms=6), pair.x)
-    out = _into(out, np.exp, w)
+    out = _into(out, np.exp, _x_cot_x_minus_one(pair, out))
     out *= _sum_safe(_mid, 1, None, pair.hi, pair.lo)
     return _ret(out, pair.scalar)
-
-
-x_mean_param = x_mean
 
 
 def x_mean_direct(a, b):
@@ -392,14 +411,9 @@ def x_mean_direct(a, b):
 
 
 def y_mean(a, b, *, pair=None, out=None):
-    """Y = G e^(tanh(y)/y - 1); exponent by series below the threshold."""
+    """Y = G e^(tanh(y)/y - 1)."""
     pair = _pair(a, b, pair)
-    with np.errstate(all="ignore"):
-        w = _into(out, np.tanh, pair.y)
-        w /= pair.y
-        w -= 1.0
-    w = _piecewise(_small(pair), w, lambda y: series.tanh_over_y_minus_one(y, terms=6), pair.y)
-    out = _into(out, np.exp, w)
+    out = _into(out, np.exp, _tanh_over_y_minus_one(pair, out))
     out *= pair.g
     return _ret(_on_diagonal(pair, out), pair.scalar)
 
@@ -422,7 +436,7 @@ def _power_exponent(pair, p, weight, asymptote, divisor, out=None):
     overflows, it is (|p y| - asymptote)/p; as p -> 0 it is p y^2/divisor.
     Each step after p y is written into out, when one is given."""
     y = pair.y
-    p = np.asarray(p, dtype=float)
+    p = np.asarray(p, dtype=float)[()]  # a 0-d p as a numpy scalar, passed whole
     if p.ndim:
         p, y = np.broadcast_arrays(p, y)
     elif abs(p) < POWER_LIMIT_THRESHOLD:
@@ -446,12 +460,13 @@ def _power_exponent(pair, p, weight, asymptote, divisor, out=None):
 
 def _power_type_mean(tag, a, b, p, pair, out):
     pair = _pair(a, b, pair)
-    if not np.isfinite(np.asarray(p, dtype=float)).all():
+    p = np.asarray(p, dtype=float)
+    if not np.isfinite(p).all():
         name = "power mean" if tag == "Mp" else "Heronian"
         raise DomainError(f"{name} exponent must be finite")
     out = _into(out, np.exp, _power_exponent(pair, p, *_POWER_TYPE[tag], out))
     out *= pair.g
-    return _ret(_on_diagonal(pair, out), pair.scalar and np.ndim(p) == 0)
+    return _ret(_on_diagonal(pair, out), pair.scalar and not p.ndim)
 
 
 def power_mean(a, b, p, *, pair=None, out=None):
@@ -470,21 +485,6 @@ def heronian_mean(a, b, p, *, pair=None, out=None):
 # means like G - Y and log(X/A) are functions of u1 - u2 (see expressions).
 # ---------------------------------------------------------------------------
 
-#: y below which the offsets of L, Y and I use their series; above it the
-#: direct transcendentals are as accurate.
-_REL_DIRECT_CUTOFF = 0.1
-
-
-def _hyperbolic_exponent(tag, y, out=None):
-    """tanh(y)/y - 1 (L/A - 1 and log(Y/G)), or for I y coth(y) - 1
-    (A/L - 1 = log(I/G)); by series below the cutoff."""
-    with np.errstate(all="ignore"):
-        tanh = _into(out, np.tanh, y)
-        out = _into(out, np.divide, y, tanh) if tag == "I" else _into(out, np.divide, tanh, y)
-        out -= 1.0
-    fn = series.ycothy_minus_one if tag == "I" else series.tanh_over_y_minus_one
-    return _piecewise(y < _REL_DIRECT_CUTOFF, out, lambda v: fn(v, terms=10), y)
-
 
 def log_over_arithmetic(kind: "MeanKind", a, b, *, pair=None, out=None):
     """u = log(M/A) elementwise, accurate in relative terms for every t; on
@@ -500,11 +500,13 @@ def log_over_arithmetic(kind: "MeanKind", a, b, *, pair=None, out=None):
     elif tag == "P":  # P/A = sin(x)/x
         out = _into(out, np.negative, _into(out, np.log1p, series.xoversin_minus_one(pair.x)))
     elif tag == "X":
-        out = _into(out, np.positive, series.xcotx_minus_one(pair.x))
-    elif tag == "L":
-        out = _into(out, np.log1p, _hyperbolic_exponent(tag, pair.y, out))
-    elif tag in ("Y", "I"):
-        out = _into(out, np.add, _hyperbolic_exponent(tag, pair.y, out), pair.log_g)
+        out = _x_cot_x_minus_one(pair, out)
+    elif tag == "L":  # L/A = 1/(1 + w)
+        out = _into(out, np.negative, _into(out, np.log1p, _y_coth_y_minus_one(pair, out)))
+    elif tag == "Y":
+        out = _into(out, np.add, _tanh_over_y_minus_one(pair, out), pair.log_g)
+    elif tag == "I":
+        out = _into(out, np.add, _y_coth_y_minus_one(pair, out), pair.log_g)
     elif tag in _POWER_TYPE:
         expo = _power_exponent(pair, kind.exponent, *_POWER_TYPE[tag], out)
         out = _into(out, np.add, expo, pair.log_g)

@@ -127,23 +127,25 @@ def _float_coeffs(kind: SeriesKind, terms: int) -> np.ndarray:
 
 def _poly_in_x2(coeffs: np.ndarray, x2):
     """Horner evaluation of sum c_n * x2^(n-1) over n = 1..len(coeffs); on
-    an array in place, so it allocates one array however many terms."""
-    acc = np.zeros_like(np.asarray(x2, dtype=float))
-    if acc.ndim:
+    an array in place, so it allocates one array however many terms, and on
+    a scalar in Python floats, which cost a fraction of numpy scalars."""
+    if isinstance(x2, np.ndarray) and x2.ndim:
+        acc = np.zeros_like(x2, dtype=float)
         for c in coeffs[::-1]:
             acc *= x2
             acc += c
         return acc
-    for c in coeffs[::-1]:
+    acc, x2 = 0.0, float(x2)
+    for c in coeffs[::-1].tolist():
         acc = acc * x2 + c
     return acc
 
 
 def _check_series_domain(kind: SeriesKind, x) -> None:
     xs = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xs)):
-        raise SeriesDomainError("series argument must be finite")
-    if np.any(np.abs(xs) >= math.pi):
+    if not (np.abs(xs) < math.pi).all():  # false at NaN too
+        if not np.isfinite(xs).all():
+            raise SeriesDomainError("series argument must be finite")
         raise SeriesDomainError("series require |x| < pi")
     singular = kind in (
         SeriesKind.COT_X,
@@ -218,35 +220,13 @@ def xoversin_minus_one(x, terms: int = DEFAULT_TERMS):
 
 
 def ycothy_minus_one(y, terms: int = DEFAULT_TERMS):
-    """y*coth(y) - 1; intended for small |y| (radius of convergence pi)."""
+    """y*coth(y) - 1 with full relative accuracy for |y| up to about 1.4
+    (radius of convergence pi)."""
     ys = np.asarray(y, dtype=float)
-    if np.any(np.abs(ys) >= math.pi):
+    if (np.abs(ys) >= math.pi).any():
         raise SeriesDomainError("ycothy_minus_one requires |y| < pi")
     y2 = ys * ys
     out = y2 * _poly_in_x2(_float_coeffs(SeriesKind.COTH_X, terms), y2)
-    return float(out) if ys.ndim == 0 else out
-
-
-@functools.cache
-def _tanh_coeffs() -> np.ndarray:
-    # tanh(y) = sum_{n>=1} 4^n (4^n - 1) B_2n y^(2n-1) / (2n)!, B_2n = (-1)^(n+1) |B_2n|
-    return np.array([
-        float((-1) ** (n + 1) * Fraction(4**n * (4**n - 1), math.factorial(2 * n)) * b)
-        for n, b in enumerate(_TABLE.exact, start=1)
-    ])
-
-
-def tanh_over_y_minus_one(y, terms: int = 12):
-    """tanh(y)/y - 1, cancellation-free; full precision for |y| <= ~0.5
-    (radius of convergence pi/2, so accuracy degrades toward the edge)."""
-    if not 1 <= terms <= _TABLE.limit - 1:
-        raise DomainError(f"terms must be in 1..{_TABLE.limit - 1}")
-    ys = np.asarray(y, dtype=float)
-    if np.any(np.abs(ys) >= math.pi / 2):
-        raise SeriesDomainError("tanh_over_y_minus_one requires |y| < pi/2")
-    y2 = ys * ys
-    # drop n=1 (the leading y/y = 1)
-    out = y2 * _poly_in_x2(_tanh_coeffs()[1 : terms + 1], y2)
     return float(out) if ys.ndim == 0 else out
 
 

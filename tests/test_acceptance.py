@@ -162,10 +162,10 @@ class TestAcceptance:
         a, b = np.concatenate([a1, a2]), np.concatenate([b1, b2])
         assert int(np.sum(np.abs(a - b) / (a + b) < 1e-5)) >= 100
         route_pairs = [
-            (M.logarithmic_direct, M.logarithmic_param),
-            (M.seiffert_direct, M.seiffert_param),
-            (M.x_mean_direct, M.x_mean_param),
-            (M.identric_direct, M.identric_param),
+            (M.logarithmic, M.logarithmic_param),
+            (M.seiffert, M.seiffert_param),
+            (M.x_mean_direct, M.x_mean),
+            (M.identric, M.identric_param),
         ]
         worst_route = max(
             float(np.max(np.abs(d(a, b) - p(a, b)) / np.abs(p(a, b))))

@@ -223,6 +223,19 @@ class TestStablePatterns:
                 assert float(abs((got - ref) / ref)) < 1e-13, (text, r, got, float(ref))
 
     @pytest.mark.filterwarnings("error")
+    def test_offset_forms_within_32_ulp(self):
+        # the ratios include a/b ~ 1.32, y ~ 0.14, where y/tanh(y) - 1
+        # cancels and I - L once read 609 ulp off
+        ratios = (*np.geomspace(1.05, 40.0, 80), *oracles.FULL_RANGE)
+        for text in ("I - L", "log(I/L)", "L - G", "Y - H", "A - L", "log(I/G)", "log(X/A)",
+                     "A - X"):
+            node = parse_expr(text)
+            for r in ratios:
+                ref = float(oracles.mp_eval(node, float(r), 1.0))
+                got = evaluate(node, float(r), 1.0)
+                assert abs(got - ref) <= 32 * math.ulp(ref), (text, r, got, ref)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("a,b", [(1.7e308, 1.6e308), (1e300, 1e-300), (1.7e308, 5e-324)])
     def test_offset_forms_at_the_ends_of_the_range(self, a, b):
         # finite, or an EvalError where the plain quotient overflows too

@@ -305,9 +305,9 @@ class TestDualRoutes:
         b2 = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 100))
         u = np.exp(rng.uniform(math.log(1e-9), math.log(2e-5), 100))
         a2 = b2 * (1.0 + u)
-        # and a pair whose sum overflows
-        a = np.concatenate([a1, a2, [1.7e308]])
-        b = np.concatenate([b1, b2, [1.6e308]])
+        # and a pair whose sum overflows, and one past y = 710
+        a = np.concatenate([a1, a2, [1.7e308, 1.7e308]])
+        b = np.concatenate([b1, b2, [1.6e308, 5e-324]])
         assert int(np.sum(M.Pair(a, b).t < 1e-5)) >= 100
         return a, b
 
@@ -316,8 +316,8 @@ class TestDualRoutes:
         [
             (M.logarithmic, M.logarithmic_param),
             (M.seiffert, M.seiffert_param),
-            (M.x_mean_direct, M.x_mean_param),
-            (M.identric_direct, M.identric_param),
+            (M.x_mean_direct, M.x_mean),
+            (M.identric, M.identric_param),
             (M.y_mean_direct, M.y_mean),
         ],
     )
@@ -441,11 +441,11 @@ def _bits(values):
 
 class TestBranchCompaction:
     # each kernel evaluates a branch only on the points that take it, so the
-    # grid straddles every branch threshold: t = 1e-4 (series in X, Y),
-    # t = 0.9 (half-angle arcsin), u = 1e15 (log ratio), y = 0.1
-    # (series in the offsets of L, Y, I), y = 1 (log(G/A)) and |p y| = 700
-    # (power-type asymptote, reached by the orders +-3 from a/b ~ 1e203),
-    # plus a == b
+    # grid straddles every branch threshold: t = SERIES_T_THRESHOLD (series
+    # in the exponents of X and Y and the offsets of X, L, Y, I), t = 0.9
+    # (half-angle arcsin), u = 1e15 (log ratio), y = 1 (log(G/A)) and
+    # |p y| = 700 (power-type asymptote, reached by the orders +-3 from
+    # a/b ~ 1e203), plus a == b
     KINDS = (
         [MeanKind(tag) for tag in "AGHLIPXY"]
         + [MeanKind.power(p) for p in (-3.0, -1.0, 0.0, 1e-9, 1.0 / 3.0, 0.5, 3.0)]
@@ -453,15 +453,20 @@ class TestBranchCompaction:
     )
 
     @staticmethod
-    def _grid():
-        ratios = np.concatenate(
+    def _threshold_ratios():
+        series_ratio = (1.0 + M.SERIES_T_THRESHOLD) / (1.0 - M.SERIES_T_THRESHOLD)
+        return np.array(
             [
-                [1.0, 1.0 + 2.0**-52, 1.0002, 1.00020002, 1.0002001],
-                [1.2214, 1.2215, 19.0, 19.000001],
-                [1e15, 1e15 + 1.0, 1.0000001e15, 1e203, 1e204, 1e300, 1.0],
-                np.geomspace(1.0 + 1e-12, 1e300, 200),
+                1.0, 1.0 + 2.0**-52,
+                np.nextafter(series_ratio, 0.0), np.nextafter(series_ratio, np.inf),
+                19.0, 19.000001,
+                1e15, 1e15 + 1.0, 1.0000001e15, 1e203, 1e204, 1e300, 1.0,
             ]
         )
+
+    @classmethod
+    def _grid(cls):
+        ratios = np.concatenate([cls._threshold_ratios(), np.geomspace(1.0 + 1e-12, 1e300, 200)])
         rng = np.random.default_rng(7)
         b = np.exp(rng.uniform(-5.0, 5.0, ratios.size))
         a = ratios * b
@@ -472,7 +477,7 @@ class TestBranchCompaction:
         pair = M.Pair(*self._grid())
         u = (pair.hi - pair.lo) / pair.lo
         y3 = np.abs(3.0 * pair.y)
-        masks = (pair.eq, pair.t < 1e-4, pair.t > 0.9, u >= 1e15, pair.y < 0.1, pair.y > 1.0)
+        masks = (pair.eq, pair.t < M.SERIES_T_THRESHOLD, pair.t > 0.9, u >= 1e15, pair.y > 1.0)
         for mask in (*masks, y3 > 700.0):
             assert 0 < int(np.sum(mask)) < mask.size
 
@@ -480,7 +485,7 @@ class TestBranchCompaction:
         # agreement above only shows that compaction scatters consistently;
         # this shows each side of a threshold computes the right branch
         a, b = self._grid()
-        for j in range(16):  # the explicit threshold points
+        for j in range(self._threshold_ratios().size):
             ref = oracles.mp_means(float(a[j]), float(b[j]))
             for tag, fn in M._KERNELS.items():
                 assert _rel(fn(float(a[j]), float(b[j])), float(ref[tag])) < 5e-14, (tag, j)
@@ -528,9 +533,11 @@ class TestOutArgument:
     def _grids():
         yield np.geomspace(1.0 + 1e-6, 1e8, 10_000), 1.0  # the default grid
         yield np.geomspace(1.0 + 1e-15, 1e300, 10_000), 1.0
-        # both sides of t = 1e-4, u = 1e15, y = 0.1, y = 1 and |3 y| = 700,
-        # then the branch-compaction grid, which has a == b and swapped pairs
-        thresholds = [(1 + 1e-4) / (1 - 1e-4), 1 + 1e15, math.exp(0.2), math.exp(2.0)]
+        # both sides of t = SERIES_T_THRESHOLD, u = 1e15, y = 1 and
+        # |3 y| = 700, then the branch-compaction grid, which has a == b and
+        # swapped pairs
+        t = M.SERIES_T_THRESHOLD
+        thresholds = [(1 + t) / (1 - t), 1 + 1e15, math.exp(2.0)]
         thresholds.append(math.exp(1400.0 / 3.0))
         yield np.array([np.nextafter(r, to) for r in thresholds for to in (0.0, r, np.inf)]), 1.0
         yield TestBranchCompaction._grid()

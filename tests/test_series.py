@@ -7,6 +7,7 @@ import pytest
 
 from meanlab import series
 from meanlab.errors import DomainError, SeriesDomainError
+from meanlab.means import SERIES_T_THRESHOLD
 from meanlab.series import SeriesKind
 
 
@@ -162,7 +163,7 @@ def _mp_ref(fn, x):
 
 class TestHelperKernels:
     def test_xcotx_minus_one(self):
-        for x in (1e-8, 1e-4, 0.3, 1.5):
+        for x in (1e-8, 1e-4, 0.3, math.asin(SERIES_T_THRESHOLD), 1.5):
             ref = _mp_ref(lambda v: v * mpmath.cos(v) / mpmath.sin(v) - 1, x)
             assert series.xcotx_minus_one(x) == pytest.approx(ref, rel=1e-12)
 
@@ -171,15 +172,8 @@ class TestHelperKernels:
             ref = _mp_ref(lambda v: v / mpmath.sin(v) - 1, x)
             assert series.xoversin_minus_one(x) == pytest.approx(ref, rel=1e-12)
 
-    def test_tanh_over_y_minus_one(self):
-        # full precision holds for |y| <= ~0.5; callers switch to the direct
-        # formula well before that
-        for y in (1e-8, 0.05, 0.2, 0.4):
-            ref = _mp_ref(lambda v: mpmath.tanh(v) / v - 1, y)
-            assert series.tanh_over_y_minus_one(y) == pytest.approx(ref, rel=1e-12)
-
     def test_ycothy_minus_one(self):
-        for y in (1e-8, 0.05, 0.4, 1.0):
+        for y in (1e-8, 0.05, 0.4, 1.0, math.atanh(SERIES_T_THRESHOLD)):
             ref = _mp_ref(lambda v: v / mpmath.tanh(v) - 1, y)
             assert series.ycothy_minus_one(y) == pytest.approx(ref, rel=1e-12)
 
