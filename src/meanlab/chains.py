@@ -19,7 +19,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -31,9 +31,11 @@ from .errors import (
     NonMonotonePredicateError,
 )
 from .expressions import GridContext, MeanExpr, Workspace, cached_reads, parse_expr
-from .means import power_mean
+from .means import geometric, power_mean, power_mean_exponent
 
 DEFAULT_MARGIN_GUARD = 1e-13
+
+_EPS = float(np.finfo(float).eps)
 
 #: Grid points per chunk, at most (a chunk of the refined grid adds the extra
 #: points in its range).  Each chunk is evaluated on its own context, whose
@@ -108,6 +110,16 @@ class GridSpec:
         )
 
 
+@lru_cache(maxsize=16)
+def _extra_ratios(r_max: float) -> np.ndarray:
+    """The refined grid's 100 + 100 extra points, sorted and each once."""
+    near = np.geomspace(1.0 + 1e-12, 1.0 + 1e-6, 100, endpoint=False)
+    far = np.geomspace(r_max, r_max * 1e4, 100)
+    extra = np.unique(np.concatenate([near, far]))
+    extra.flags.writeable = False
+    return extra
+
+
 def refined_ratios(grid: GridSpec, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """The grid plus 100 extra points hugging each asymptotic end, sorted and
     deduplicated.  With an index range, the chunk of it that grid ratios
@@ -117,9 +129,7 @@ def refined_ratios(grid: GridSpec, lo: int = 0, hi: int | None = None) -> np.nda
     hi = grid.n if hi is None else hi
     if not math.isfinite(grid.r_max * 1e4):
         raise ConfigError(f"refined grid needs finite r_max*1e4; r_max = {grid.r_max!r}")
-    near = np.geomspace(1.0 + 1e-12, 1.0 + 1e-6, 100, endpoint=False)
-    far = np.geomspace(grid.r_max, grid.r_max * 1e4, 100)
-    extra = np.concatenate([near, far])
+    extra = _extra_ratios(grid.r_max)
     r = grid.ratios_slice(lo, hi)
     if lo > 0:
         extra = extra[extra >= r[0]]
@@ -127,7 +137,18 @@ def refined_ratios(grid: GridSpec, lo: int = 0, hi: int | None = None) -> np.nda
         end = grid.ratios_slice(hi, hi + 1)[0]
         extra = extra[extra < end]
         r = r[r < end]  # a repeat of the next chunk's first ratio is its own
-    return np.unique(np.concatenate([extra, r]))
+    # np.unique of both, without sorting the grid: its ratios ascend, so the
+    # sorted extra points are merged in where they are not already there
+    steps = np.diff(r)
+    least = steps.min() if steps.size else 1.0
+    if not least >= 0.0:  # ratios out of order: np.unique sorts them
+        return np.unique(np.concatenate([extra, r]))
+    if least == 0.0:
+        r = r[np.r_[True, steps > 0.0]]  # a repeated ratio once
+    at = np.searchsorted(r, extra)
+    new = at == r.size
+    new[~new] = r[at[~new]] != extra[~new]
+    return np.insert(r, at[new], extra[new])
 
 
 @dataclass(frozen=True)
@@ -208,6 +229,54 @@ def _rel_margins(lhs: np.ndarray, rhs: np.ndarray, positive: bool = False, out=N
     return margins
 
 
+def _ratio_bound(c: float) -> float:
+    """A double q_max such that a point of positive finite sides whose margin
+    is at most c has rhs/lhs <= q_max.
+
+    With Q = rhs/lhs exact, the exact margin is mu(Q) = Q - 1 below Q = 1
+    and 1 - 1/Q above, increasing in Q.  The computed margin is mu times
+    (1 + d), |d| <= 2 roundings, so a margin <= c has mu <= c + 3 EPS |c|,
+    and Q <= mu^-1 of that; the computed q, rounded monotonically, is then
+    at most any double above it.  Near q = 1 that is within about 10 ulp of
+    the least q; where margins saturate at -1 or 1 the window widens to take
+    in their ties."""
+    if c <= 0.0:
+        return 1.0 + c + 4.0 * _EPS
+    d = 1.0 - c * (1.0 + 4.0 * _EPS)
+    return (1.0 + 4.0 * _EPS) / d if d > 0.0 else math.inf
+
+
+def _link_minimum(lhs, rhs, positive: bool, finite: bool, workspace: Workspace):
+    """(j, margin): j = np.argmin(_rel_margins(lhs, rhs)) and the margin
+    there, bit for bit.  positive: both sides are > 0 everywhere; finite:
+    and below inf.
+
+    Where both hold, the margin is an increasing function of q = rhs/lhs up
+    to two roundings: one division finds the least q, and the margin is
+    computed only at the points whose q could give it a margin as small
+    (_ratio_bound), whose first argmin is the whole link's.  Elsewhere (a side
+    that is 0, negative, inf or NaN somewhere; at an inf side the margin is
+    NaN while q is inf or 0) the margins are computed at every point."""
+    buffer = workspace.take(lhs.size)
+    if positive and finite:
+        with np.errstate(over="ignore"):  # q is inf where rhs/lhs overflows
+            q = np.divide(rhs, lhs, out=buffer)
+        i = int(np.argmin(q))
+        l, r = float(lhs[i]), float(rhs[i])
+        idx = np.flatnonzero(q <= _ratio_bound((r - l) / max(l, r)))
+        margins = _rel_margins(lhs[idx], rhs[idx], True)
+        k = int(np.argmin(margins))
+        j, margin = int(idx[k]), margins[k]
+    else:
+        other = workspace.take(lhs.size)
+        margins = _rel_margins(lhs, rhs, positive, (other, buffer))
+        j = int(np.argmin(margins))
+        margin = margins[j]
+        workspace.give(other)
+    workspace.give(buffer)
+    return j, float(margin)
+
+
 class _LinkPlan:
     """The distinct members and distinct (lhs, rhs) links of several member
     lists, interned once per stage as integer slots, so that a chunk
@@ -248,21 +317,21 @@ class _LinkPlan:
         """Over the pairs (ratios*b, b): per link, (min margin, ratio at the
         first argmin, rhs - lhs there), or None where a member raised; and
         the EvalError each failing member raised, by member slot: at its
-        first failing node's first bad pair.  Every array of the scan is lent
-        by the workspace and given back by the end."""
+        first failing node's first bad pair.  Every chunk-sized array of the
+        scan is lent by the workspace and given back by the end."""
         out = [None] * len(self.links)
         errors = {}
         if not ratios.size:
             return out, errors
         n = ratios.size
         a = np.multiply(ratios, b, out=workspace.take(n))
-        buffers = workspace.take(n), workspace.take(n)
-        values, positive = {}, {}
+        values, positive, finite = {}, {}, {}
         with GridContext(a, b, workspace=workspace) as ctx:
             for s, member in enumerate(self.members):
                 try:
                     values[s] = v = np.asarray(ctx.evaluate(member))
                     positive[s] = v.min() > 0.0
+                    finite[s] = positive[s] and v.max() < math.inf
                 except EvalError as exc:
                     # kept without its traceback, whose frames would hold the
                     # scan's arrays for as long as the error is kept
@@ -271,16 +340,15 @@ class _LinkPlan:
                     l, r = self.links[k]
                     if l in values and r in values:
                         lhs, rhs = values[l], values[r]
-                        margins = _rel_margins(lhs, rhs, positive[l] and positive[r], buffers)
-                        j = int(np.argmin(margins))
+                        j, margin = _link_minimum(
+                            lhs, rhs, positive[l] and positive[r], finite[l] and finite[r], workspace
+                        )
                         # as Python floats, two infinities subtract without a warning
-                        difference = float(rhs[j]) - float(lhs[j])
-                        out[k] = (float(margins[j]), float(ratios[j]), difference)
+                        out[k] = (margin, float(ratios[j]), float(rhs[j]) - float(lhs[j]))
                 for m in self.drop[s]:
                     ctx.release(values.pop(m, None))
                 ctx.forget(self.uncache[s])
-        for buf in (a, *buffers):
-            workspace.give(buf)
+        workspace.give(a)
         return out, errors
 
 
@@ -809,6 +877,93 @@ def sharpness_probes(grid: GridSpec | None = None, epsilon: float = 1e-3) -> lis
 # ---------------------------------------------------------------------------
 
 
+#: A bracket point is decided in log space when it clears its line by more
+#: than _LOG_SLACK EPS (1 + |T|); see _OrderTest.
+_LOG_SLACK = 16.0
+
+
+class _OrderTest:
+    """The bracket's predicate: whether M_s lies on the holding side of the
+    target everywhere on the refined grid: _rel_margins > -margin_guard,
+    with M_s from power_mean.
+
+    With T = log(tv/G) and E_s = log(M_s/G) (power_mean_exponent, the bits
+    power_mean raises to M_s = G e^E_s), and margin_guard in [0, 1/2], the
+    margin clears the guard where +-(T - E_s) > log1p(-margin_guard), + on
+    the lower side.  That is exact in real arithmetic; what the computed
+    margin adds to it, in units of EPS, is at most
+      - 0.5 for tv/G and 4 |T| for the log of it;
+      - 4 for exp(E_s) and 0.5 for its product with G (E_s itself has the
+        same bits on both paths);
+      - 1 for the margin: near the guard tv - M_s is exact (Sterbenz, as
+        tv/M_s is in [1/2, 2]), and the one division moves the margin by
+        EPS/2 relative, or at most EPS in log space where margin_guard <= 1/2;
+      - 1 + |T| for log1p(-margin_guard) and the two roundings of a line;
+    8 (1 + |T|) in all, with no |E_s| term, since E_s is compared with a
+    line, exactly, and never subtracted.  A point is settled when it clears
+    its line by twice that, _LOG_SLACK EPS (1 + |T|).  The model needs M_s,
+    which lies in [lo, hi], and tv/G to be normal doubles; grids and guards
+    outside it, and orders where some point is not settled, take the exact
+    predicate.  (numpy's float64 exp and log are taken to be within 4 ulp;
+    against mpmath they measure under 1 ulp on 10 000 points each, with
+    numpy 2.4 on AVX-512.)"""
+
+    def __init__(self, expr, lower: bool, grid: GridSpec, margin_guard: float):
+        self.a, self.b = refined_ratios(grid) * grid.b, grid.b
+        ctx = GridContext(self.a, self.b)
+        self.tv = np.asarray(ctx.evaluate(expr))
+        if np.any(~(self.tv > 0.0)):
+            raise DomainError("target must evaluate positive on the grid")
+        pair = self.pair = ctx.pair
+        self.lower, self.guard, self.lines = lower, margin_guard, None
+        normal = pair.lo.min() >= 2.0**-1000 and pair.hi.max() <= 2.0**1000
+        if not (normal and 0.0 <= margin_guard <= 0.5):
+            return
+        with np.errstate(all="ignore"):
+            t = np.divide(self.tv, geometric(self.a, self.b, pair=pair))
+            np.log(t, out=t)
+        slack = np.abs(t)
+        if not slack.max() <= 700.0:  # tv/G normal; NaN fails this too
+            return
+        # with L = log1p(-margin_guard), the lower side holds where every
+        # E_s < T - L - slack and fails where some E_s > T - L + slack, the
+        # upper side holds where every E_s > T + L + slack and fails where
+        # some E_s < T + L - slack
+        sign = 1.0 if lower else -1.0
+        slack += 1.0
+        slack *= sign * _LOG_SLACK * _EPS
+        t -= sign * math.log1p(-margin_guard)
+        hold = t - slack
+        t += slack
+        self.lines = hold, t
+        self.buffers = np.empty_like(t), slack
+
+    def exact(self, s: float) -> bool:
+        m = np.asarray(power_mean(self.a, self.b, s, pair=self.pair))
+        margins = _rel_margins(m, self.tv) if self.lower else _rel_margins(self.tv, m)
+        return float(np.min(margins)) > -self.guard
+
+    def decide(self, s: float) -> bool | None:
+        """The predicate at order s where every point is settled in log
+        space, else None."""
+        if self.lines is None:
+            return None
+        hold, fail = self.lines
+        e, gap = self.buffers
+        e = power_mean_exponent(self.a, self.b, s, pair=self.pair, out=e)
+        held = np.subtract(hold, e, out=gap)  # NaN settles nothing
+        if held.min() > 0.0 if self.lower else held.max() < 0.0:
+            return True
+        missed = np.subtract(fail, e, out=gap)
+        if missed.min() < 0.0 if self.lower else missed.max() > 0.0:
+            return False
+        return None
+
+    def __call__(self, s: float) -> bool:
+        decided = self.decide(s)
+        return self.exact(s) if decided is None else decided
+
+
 def bracket_best_exponent(
     target,
     side: str,
@@ -829,20 +984,8 @@ def bracket_best_exponent(
     if not (tolerance > 0.0 and math.isfinite(tolerance)):
         raise DomainError("tolerance must be positive")
     expr = parse_expr(target) if isinstance(target, str) else target
-    grid = grid or GridSpec()
-    r = refined_ratios(grid)
-    a = r * grid.b
-    ctx = GridContext(a, grid.b)
-    tv = np.asarray(ctx.evaluate(expr))
-    if np.any(~(tv > 0.0)):
-        raise DomainError("target must evaluate positive on the grid")
     lower = side == "lower"
-
-    def holds(s: float) -> bool:
-        # every order reuses the grid's validated pair and its log ratio
-        m = np.asarray(power_mean(a, grid.b, s, pair=ctx.pair))
-        margins = _rel_margins(m, tv) if lower else _rel_margins(tv, m)
-        return float(np.min(margins)) > -margin_guard
+    holds = _OrderTest(expr, lower, grid or GridSpec(), margin_guard)
 
     lo_lim, hi_lim = search_range
     steps = [float(s) for s in np.arange(math.floor(lo_lim), math.ceil(hi_lim) + 1)]

@@ -98,7 +98,9 @@ def _piecewise(mask, out, fn, *args):
     if idx.size:
         with np.errstate(all="ignore"):
             taken = (arg.take(idx) if isinstance(arg, np.ndarray) else arg for arg in args)
-            np.put(out, idx, fn(*taken))
+            # a flat view of out, which is always a fresh or lent contiguous
+            # buffer: the same writes as np.put, at well under half its cost
+            out.reshape(-1)[idx] = fn(*taken)
     return out
 
 
@@ -315,21 +317,27 @@ def _half_slope(pair, angle, out):
 def _x_cot_x_minus_one(pair, out=None):
     """x cot x - 1 = G/P - 1 = log(X/A).  Above the threshold it is
     x (G/A)/t - 1, which keeps cos(x) = G/A exact as t -> 1."""
+    small = pair.t < SERIES_T_THRESHOLD
+    if pair.scalar and small:  # the series alone; a grid takes it where small
+        return series.xcotx_minus_one(pair.x)
     w = _sum_safe(_cos_x, 0, out, pair.hi, pair.lo, pair.g)
     with np.errstate(all="ignore"):
         w *= pair.x
         w /= pair.t
         w -= 1.0
-    return _piecewise(pair.t < SERIES_T_THRESHOLD, w, series.xcotx_minus_one, pair.x)
+    return _piecewise(small, w, series.xcotx_minus_one, pair.x)
 
 
 def _y_coth_y_minus_one(pair, out=None):
     """w = y coth y - 1 = A/L - 1 = log(I/G), y/tanh(y) - 1 above the
     threshold; w >= 0, so 1 + w never cancels."""
+    small = pair.t < SERIES_T_THRESHOLD
+    if pair.scalar and small:
+        return series.ycothy_minus_one(pair.y)
     with np.errstate(all="ignore"):
         w = _into(out, np.divide, pair.y, _into(out, np.tanh, pair.y))
         w -= 1.0
-    return _piecewise(pair.t < SERIES_T_THRESHOLD, w, series.ycothy_minus_one, pair.y)
+    return _piecewise(small, w, series.ycothy_minus_one, pair.y)
 
 
 def _tanh_over_y_minus_one(pair, out=None):
@@ -434,23 +442,29 @@ def _power_exponent(pair, p, weight, asymptote, divisor, out=None):
     """log(M/G) = log1p(weight sinh(p y/2)^2)/p of a power-type mean: weight
     2 gives M_p, 4/3 the Heronian H_p.  Past |p y| = 700, where sinh
     overflows, it is (|p y| - asymptote)/p; as p -> 0 it is p y^2/divisor.
-    Each step after p y is written into out, when one is given."""
+    Each step is written into out, when one is given."""
     y = pair.y
     p = np.asarray(p, dtype=float)[()]  # a 0-d p as a numpy scalar, passed whole
     if p.ndim:
         p, y = np.broadcast_arrays(p, y)
     elif abs(p) < POWER_LIMIT_THRESHOLD:
         return p * y * y / divisor
-    v = p * y
     with np.errstate(all="ignore"):
+        # (p/2) y is (p y)/2 exactly except where p y overflows or |p| is
+        # below POWER_LIMIT_THRESHOLD, points that are replaced below.
         # s * s, not s ** 2: on an array ** 2 is this product, but on a
         # scalar it calls pow, which can differ from it in the last bit
-        s = _into(out, np.sinh, _into(out, np.multiply, 0.5, v))
+        s = _into(out, np.sinh, _into(out, np.multiply, 0.5 * p, y))
         s *= s
         s *= weight
         out = _into(out, np.log1p, s)
         out /= p
-    out = _piecewise(np.abs(v) > 700.0, out, lambda v, p: (np.abs(v) - asymptote) / p, v, p)
+    # with one order the rounded |p| y rises with y: where it stays below 700
+    # at the largest y, as on most grids, no point needs the mask
+    top = y.max(initial=0.0) if isinstance(y, np.ndarray) else y
+    if p.ndim or abs(p) * top > 700.0:
+        wide = np.abs(p * y) > 700.0
+        out = _piecewise(wide, out, lambda y, p: (np.abs(p * y) - asymptote) / p, y, p)
     if p.ndim:
         out = _piecewise(
             np.abs(p) < POWER_LIMIT_THRESHOLD, out, lambda p, y: p * y * y / divisor, p, y
@@ -472,6 +486,12 @@ def _power_type_mean(tag, a, b, p, pair, out):
 def power_mean(a, b, p, *, pair=None, out=None):
     """M_p = ((a^p + b^p)/2)^(1/p), with M_0 = G and a stable p ~ 0 limit."""
     return _power_type_mean("Mp", a, b, p, pair, out)
+
+
+def power_mean_exponent(a, b, p, *, pair=None, out=None):
+    """log(M_p/G) for a finite scalar p: the exponent that power_mean raises,
+    with the same bits (0 where hi == lo, where M_p is hi itself)."""
+    return _power_exponent(_pair(a, b, pair), p, *_POWER_TYPE["Mp"], out)
 
 
 def heronian_mean(a, b, p, *, pair=None, out=None):

@@ -271,6 +271,44 @@ class TestChunkedScan:
                 assert got is buffers[1]
                 assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
+    def test_link_minimum_is_the_margins_first_argmin_bitwise(self):
+        # the scan by ratio against _rel_margins + argmin, index and margin
+        rng = np.random.default_rng(8)
+        eps = np.finfo(float).eps
+        n = 400
+        l = np.exp(rng.uniform(-50.0, 50.0, n))
+        cases = [
+            (l, l * np.exp(rng.normal(0.0, 0.1, n))),  # random
+            (l, l.copy()),  # a flat run: margin 0 everywhere
+            (np.full(n, 3.0), 3.0 * (1.0 + eps * rng.integers(-3, 4, n))),  # ties one ulp apart
+            (l, l * (1.0 + eps * rng.integers(0, 3, n))),
+            (l, l * 10.0 ** rng.uniform(-20.0, -17.0, n)),  # margins tied at -1
+            (l, l * 10.0 ** rng.uniform(17.0, 20.0, n)),  # margins tied near 1
+            (5e-324 * rng.integers(1, 9, n), 5e-324 * rng.integers(1, 9, n)),  # subnormal
+            (np.where(rng.random(n) < 0.5, 1.7e308, 5e-324), np.full(n, 1.0)),  # q = inf
+        ]
+        # sides a few ulp apart around a quotient of 1, 3/2, 1e5 or 1e-15,
+        # many of them tying
+        for scale, factor in ((1.0, 1.0), (2.0, 1.0), (1 / 3, 1.0), (2.0, 1.5), (1.0, 1e5), (3.0, 1e-15)):
+            grid = scale * (1.0 + eps * np.arange(-4, 5))
+            for _ in range(200):
+                cases.append((rng.choice(grid, 12), factor * rng.choice(grid, 12)))
+        # a side that is 0, negative, inf or NaN somewhere: margins at every point
+        for special in (0.0, -0.0, -1.0, np.inf, np.nan):
+            for side in (0, 1):
+                pair = [l.copy(), l * np.exp(rng.normal(0.0, 0.1, n))]
+                pair[side][rng.choice(n, 3, replace=False)] = special
+                cases.append(tuple(pair))
+        workspace = chains.Workspace()
+        for lhs, rhs in cases:
+            positive = lhs.min() > 0.0 and rhs.min() > 0.0
+            finite = positive and max(lhs.max(), rhs.max()) < math.inf
+            margins = chains._rel_margins(lhs, rhs)
+            j = int(np.argmin(margins))
+            got = chains._link_minimum(lhs, rhs, positive, finite, workspace)
+            assert got[0] == j, (lhs, rhs)
+            assert np.float64(got[1]).view(np.int64) == margins[j].view(np.int64), (lhs, rhs)
+
     def test_balanced_chunk_plan(self, monkeypatch):
         # ceil(n / CHUNK_POINTS) chunks, rounded up to a multiple of the
         # workers, all of ceil(n / count) points but the last
@@ -306,14 +344,14 @@ class TestChunkedScan:
                 current[id(out)] = expr
                 return out
 
-        original = chains._rel_margins
+        original = chains._link_minimum
 
-        def counting_margins(lhs, rhs, *args):
+        def counting_scan(lhs, rhs, *args):
             scanned[-1][current[id(lhs)], current[id(rhs)]] += 1
             return original(lhs, rhs, *args)
 
         monkeypatch.setattr(chains, "GridContext", CountingContext)
-        monkeypatch.setattr(chains, "_rel_margins", counting_margins)
+        monkeypatch.setattr(chains, "_link_minimum", counting_scan)
         monkeypatch.setattr(chains, "CHUNK_POINTS", 300)
         monkeypatch.setattr(chains, "_worker_count", lambda chunks: 1)  # unlocked counters
         expected = chains.verify_chains(suite, GridSpec(r_min=0.1, n=1000))
@@ -456,6 +494,21 @@ class TestWorkspaceReuse:
         assert error.__traceback__ is None
 
 
+def _refined_by_unique(grid, lo, hi):
+    """refined_ratios(grid, lo, hi) as np.unique of the chunk's ratios and
+    the extra points in its range."""
+    near = np.geomspace(1.0 + 1e-12, 1.0 + 1e-6, 100, endpoint=False)
+    far = np.geomspace(grid.r_max, grid.r_max * 1e4, 100)
+    extra = np.concatenate([near, far])
+    r = grid.ratios_slice(lo, hi)
+    if lo > 0:
+        extra = extra[extra >= r[0]]
+    if hi < grid.n:
+        end = grid.ratios_slice(hi, hi + 1)[0]
+        extra, r = extra[extra < end], r[r < end]
+    return np.unique(np.concatenate([extra, r]))
+
+
 class TestGridSpec:
     def test_defaults(self):
         g = GridSpec()
@@ -480,6 +533,30 @@ class TestGridSpec:
         assert r[0] < 1.0 + 1e-11
         assert r[-1] == pytest.approx(1e12, rel=1e-12)
         assert np.all(np.diff(r) > 0)
+
+    @pytest.mark.parametrize(
+        "r_min, r_max, n",
+        [
+            *((r_min, r_max, 3000) for r_min, r_max in SIX_GRIDS),
+            (1e-6, 1e8, 10_000),
+            (1e-12, 1.0 + 1e-9, 300),  # the far points overlap the near ones
+            (1e-15, 1.0 + 3e-15, 50),  # 40 ratios repeat the one before
+        ],
+    )
+    def test_refined_ratios_are_np_unique_of_the_ratios(self, r_min, r_max, n):
+        grid = GridSpec(r_min=r_min, r_max=r_max, n=n)
+        bounds = [(0, n), (0, 1), (1, 2), (0, n // 3), (n // 3, 2 * n // 3), (n - 2, n - 1)]
+        bounds += [(n - 1, n), *((lo, min(lo + 7, n)) for lo in range(0, min(n, 60), 7))]
+        for lo, hi in bounds:
+            got, expected = refined_ratios(grid, lo, hi), _refined_by_unique(grid, lo, hi)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (lo, hi)
+
+    def test_refined_ratios_sort_ratios_out_of_order(self, monkeypatch):
+        grid = GridSpec(n=500)
+        expected = refined_ratios(grid)
+        reversed_ratios = grid.ratios()[::-1].copy()
+        monkeypatch.setattr(GridSpec, "ratios_slice", lambda self, lo, hi: reversed_ratios)
+        assert np.array_equal(refined_ratios(grid), expected)
 
     def test_validation_names_non_finite_bounds(self):
         with pytest.raises(ConfigError, match="r_max"):
@@ -652,18 +729,64 @@ class TestBracketing:
         ],
     )
     def test_non_monotone_predicate(self, monkeypatch, side, flags):
-        # shrinking M_3 tenfold puts it below X: order 3 flips on either side
-        real = chains.power_mean
+        # shrinking M_3 tenfold, log(M_3/G) - log 10, puts it below X: order 3
+        # flips on either side
+        real = chains.power_mean_exponent
 
         def shrunk(a, b, p, **kw):
-            m = real(a, b, p, **kw)
-            return 0.1 * m if p == 3.0 else m
+            e = real(a, b, p, **kw)
+            return e - math.log(10.0) if p == 3.0 else e
 
-        monkeypatch.setattr(chains, "power_mean", shrunk)
+        monkeypatch.setattr(chains, "power_mean_exponent", shrunk)
         steps = [float(s) for s in range(-8, 9)]
         with pytest.raises(NonMonotonePredicateError) as err:
             bracket_best_exponent("X", side, 1e-3)
         assert str(err.value) == f"predicate not monotone over integer scan {steps}: {flags}"
+
+    @pytest.mark.parametrize(
+        "target, side, critical",
+        [
+            ("X", "lower", 0.33333301544189453),
+            ("X", "upper", 0.4093780517578125),
+            ("P", "lower", 0.6055116653442383),
+            ("P", "upper", 0.6666669845581055),
+            ("I", "lower", 0.6666660308837891),
+            ("I", "upper", 0.6931476593017578),
+            ("(P+X)/2", "lower", 0.5),
+            ("(P+X)/2", "upper", 0.5016279220581055),
+        ],
+    )
+    def test_log_space_decisions_are_the_exact_predicate(self, target, side, critical):
+        test = chains._OrderTest(chains.parse_expr(target), side == "lower", GridSpec(), 1e-13)
+        orders = critical + np.r_[np.linspace(-1e-3, 1e-3, 21), np.linspace(-4e-6, 4e-6, 21)]
+        decided = [(test.decide(float(s)), test.exact(float(s))) for s in orders]
+        assert all(fast is None or fast == exact for fast, exact in decided)
+        # on these grids every order near the critical one is settled in log space
+        assert all(fast is not None for fast, _ in decided)
+
+    def test_an_unsettled_order_takes_the_exact_predicate(self, monkeypatch):
+        # a guard at the exact least margin of an order that the bisection
+        # visits puts a point on its line: that order needs the exact test
+        s = 0.34375
+        test = chains._OrderTest(chains.parse_expr("X"), True, GridSpec(), 0.0)
+        m = chains.power_mean(test.a, test.b, s, pair=test.pair)
+        guard = -float(np.min(chains._rel_margins(m, test.tv)))
+        assert 0.0 < guard < 0.5
+        exact_orders = []
+        real = chains._OrderTest.exact
+
+        def recording(self, order):
+            exact_orders.append(order)
+            return real(self, order)
+
+        monkeypatch.setattr(chains._OrderTest, "exact", recording)
+        got = bracket_best_exponent("X", "lower", 1e-3, margin_guard=guard)
+        assert exact_orders == [s]
+        # every order on the exact path alone gives the same bracket
+        unsettled = lambda a, b, p, **kw: np.full(np.shape(a), np.nan)
+        monkeypatch.setattr(chains, "power_mean_exponent", unsettled)
+        assert bracket_best_exponent("X", "lower", 1e-3, margin_guard=guard) == got
+        assert len(exact_orders) > 17
 
 
 class TestConjecture:
