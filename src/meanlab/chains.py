@@ -35,6 +35,9 @@ from .means import geometric, power_mean, power_mean_exponent
 
 DEFAULT_MARGIN_GUARD = 1e-13
 
+#: bracket_best_exponent scans the integer orders in this range, then bisects.
+BRACKET_SEARCH_RANGE = (-8.0, 8.0)
+
 _EPS = float(np.finfo(float).eps)
 
 #: Grid points per chunk, at most (a chunk of the refined grid adds the extra
@@ -970,7 +973,6 @@ def bracket_best_exponent(
     tolerance: float,
     grid: GridSpec | None = None,
     margin_guard: float = DEFAULT_MARGIN_GUARD,
-    search_range: tuple[float, float] = (-8.0, 8.0),
 ) -> float:
     """Bisect for the critical power-mean order against a target expression.
 
@@ -987,13 +989,14 @@ def bracket_best_exponent(
     lower = side == "lower"
     holds = _OrderTest(expr, lower, grid or GridSpec(), margin_guard)
 
-    lo_lim, hi_lim = search_range
-    steps = [float(s) for s in np.arange(math.floor(lo_lim), math.ceil(hi_lim) + 1)]
+    steps = np.arange(BRACKET_SEARCH_RANGE[0], BRACKET_SEARCH_RANGE[1] + 1.0).tolist()
     flags = [holds(s) for s in steps]
     if not any(flags):
-        raise DomainError(f"no integer exponent in {search_range} satisfies the {side} relation")
+        raise DomainError(
+            f"no integer exponent in {BRACKET_SEARCH_RANGE} satisfies the {side} relation"
+        )
     if all(flags):
-        raise DomainError(f"the {side} relation never breaks inside {search_range}")
+        raise DomainError(f"the {side} relation never breaks inside {BRACKET_SEARCH_RANGE}")
     # The relation holds below the critical order on the lower side and above
     # it on the upper side; a monotone predicate puts every step below that
     # order in one run at the small end.

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -141,18 +140,15 @@ def _cmd_emit(args) -> int:
     if samples < 2:
         raise ConfigError("need samples >= 2")
     fn = _RATIO_FN_NAMES.get(args.function)
-    lines = ["x,value"] if fn is not None else ["ratio,value"]
     if fn is not None:
-        delta = 1e-6
-        xs = np.linspace(delta, math.pi / 2 - delta, samples)
+        header, xs = "x,value", ratios.monotone_samples(samples)
         vals = ratios.ratio_eval(fn, xs)
-        lines += [f"{_fmt(float(x))},{_fmt(float(v))}" for x, v in zip(xs, vals)]
     else:
         expr = parse_expr(args.function)
         grid = GridSpec(r_min=args.grid_min, r_max=args.grid_max, n=samples)
-        rr = grid.ratios()
-        vals = np.asarray(evaluate(expr, rr * grid.b, grid.b))
-        lines += [f"{_fmt(float(x))},{_fmt(float(v))}" for x, v in zip(rr, vals)]
+        header, xs = "ratio,value", grid.ratios()
+        vals = np.asarray(evaluate(expr, xs * grid.b, grid.b))
+    lines = [header] + [f"{_fmt(float(x))},{_fmt(float(v))}" for x, v in zip(xs, vals)]
     _write_out("\n".join(lines) + "\n", args.out)
     return 0
 

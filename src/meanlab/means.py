@@ -21,7 +21,7 @@ L, P, H and I are each one closed form over these, with u = (hi - lo)/lo:
 
     L = (hi - lo)/(2y)   P = (hi - lo)/(2x)   H = lo (1 + t)   I = hi e^(2y/u - 1)
 
-X and Y each take their exponent from one function that the log offsets
+The pair also keeps the two exponents that X, Y and the log offsets
 (:func:`log_over_arithmetic`) share: x cot x - 1 = log(X/A), and
 w = y coth y - 1 >= 0, whence, with nothing cancelling,
 
@@ -58,6 +58,10 @@ POWER_LIMIT_THRESHOLD = 1e-8
 
 #: hi + lo can overflow only where hi exceeds this.
 _HALF_MAX = np.finfo(float).max / 2
+
+#: e^E overflows only above _LOG_MAX; _TINY is the smallest normal double.
+_LOG_MAX = math.log(np.finfo(float).max)
+_TINY = np.finfo(float).tiny
 
 
 #: The operator form of each ufunc that _into calls without an output.
@@ -252,6 +256,33 @@ class Pair:
         out *= 0.5
         return _piecewise(self.y > 1.0, out, _minus_log_cosh, self.y)
 
+    @_cached
+    def xc(self):
+        """x cot x - 1 = G/P - 1 = log(X/A).  Above the threshold it is
+        x (G/A)/t - 1, which keeps cos(x) = G/A exact as t -> 1."""
+        small = self.t < SERIES_T_THRESHOLD
+        if self.scalar and small:  # the series alone; a grid takes it where small
+            return series.xcotx_minus_one(self.x)
+        xc = _sum_safe(_cos_x, 0, self._alloc and self._alloc(), self.hi, self.lo, self.g)
+        with np.errstate(all="ignore"):
+            xc *= self.x
+            xc /= self.t
+            xc -= 1.0
+        return _piecewise(small, xc, series.xcotx_minus_one, self.x)
+
+    @_cached
+    def w(self):
+        """w = y coth y - 1 = A/L - 1 = log(I/G), y/tanh(y) - 1 above the
+        threshold; w >= 0, so 1 + w never cancels."""
+        small = self.t < SERIES_T_THRESHOLD
+        if self.scalar and small:
+            return series.ycothy_minus_one(self.y)
+        buf = self._alloc and self._alloc()
+        with np.errstate(all="ignore"):
+            w = _into(buf, np.divide, self.y, _into(buf, np.tanh, self.y))
+            w -= 1.0
+        return _piecewise(small, w, series.ycothy_minus_one, self.y)
+
 
 def _minus_log_cosh(y):
     """-(y - log 2 + log1p(e^(-2y))) = log(G/A), for y > 1.  Most points of
@@ -314,36 +345,9 @@ def _half_slope(pair, angle, out):
     return _on_diagonal(pair, out)
 
 
-def _x_cot_x_minus_one(pair, out=None):
-    """x cot x - 1 = G/P - 1 = log(X/A).  Above the threshold it is
-    x (G/A)/t - 1, which keeps cos(x) = G/A exact as t -> 1."""
-    small = pair.t < SERIES_T_THRESHOLD
-    if pair.scalar and small:  # the series alone; a grid takes it where small
-        return series.xcotx_minus_one(pair.x)
-    w = _sum_safe(_cos_x, 0, out, pair.hi, pair.lo, pair.g)
-    with np.errstate(all="ignore"):
-        w *= pair.x
-        w /= pair.t
-        w -= 1.0
-    return _piecewise(small, w, series.xcotx_minus_one, pair.x)
-
-
-def _y_coth_y_minus_one(pair, out=None):
-    """w = y coth y - 1 = A/L - 1 = log(I/G), y/tanh(y) - 1 above the
-    threshold; w >= 0, so 1 + w never cancels."""
-    small = pair.t < SERIES_T_THRESHOLD
-    if pair.scalar and small:
-        return series.ycothy_minus_one(pair.y)
-    with np.errstate(all="ignore"):
-        w = _into(out, np.divide, pair.y, _into(out, np.tanh, pair.y))
-        w -= 1.0
-    return _piecewise(small, w, series.ycothy_minus_one, pair.y)
-
-
-def _tanh_over_y_minus_one(pair, out=None):
-    """tanh(y)/y - 1 = L/A - 1 = log(Y/G) = w/(-1 - w)."""
-    w = _y_coth_y_minus_one(pair, out)
-    return _into(out, np.divide, w, -1.0 - w)
+def _log_y_over_g(pair, out):
+    """log(Y/G) = tanh(y)/y - 1 = L/A - 1 = w/(-1 - w)."""
+    return _into(out, np.divide, pair.w, -1.0 - pair.w)
 
 
 def logarithmic(a, b, *, pair=None, out=None):
@@ -406,7 +410,7 @@ def seiffert_param(a, b):
 def x_mean(a, b, *, pair=None, out=None):
     """X = A e^(x cot x - 1)."""
     pair = _pair(a, b, pair)
-    out = _into(out, np.exp, _x_cot_x_minus_one(pair, out))
+    out = _into(out, np.exp, pair.xc)
     out *= _sum_safe(_mid, 1, None, pair.hi, pair.lo)
     return _ret(out, pair.scalar)
 
@@ -421,7 +425,7 @@ def x_mean_direct(a, b):
 def y_mean(a, b, *, pair=None, out=None):
     """Y = G e^(tanh(y)/y - 1)."""
     pair = _pair(a, b, pair)
-    out = _into(out, np.exp, _tanh_over_y_minus_one(pair, out))
+    out = _into(out, np.exp, _log_y_over_g(pair, out))
     out *= pair.g
     return _ret(_on_diagonal(pair, out), pair.scalar)
 
@@ -472,20 +476,25 @@ def _power_exponent(pair, p, weight, asymptote, divisor, out=None):
     return out
 
 
-def _power_type_mean(tag, a, b, p, pair, out):
+def _power_type_mean(tag, p, a, b, *, pair=None, out=None):
     pair = _pair(a, b, pair)
     p = np.asarray(p, dtype=float)
     if not np.isfinite(p).all():
         name = "power mean" if tag == "Mp" else "Heronian"
         raise DomainError(f"{name} exponent must be finite")
-    out = _into(out, np.exp, _power_exponent(pair, p, *_POWER_TYPE[tag], out))
-    out *= pair.g
+    expo, anchor = _power_exponent(pair, p, *_POWER_TYPE[tag], out), pair.g
+    # where e^E overflows or G is subnormal, M = G e^E is hi e^(E - y): G = hi e^(-y)
+    far = (expo > _LOG_MAX) | (anchor < _TINY)
+    if far.any() if isinstance(far, np.ndarray) else far:  # any() costs 1.6 us on a scalar
+        expo, anchor = np.where(far, expo - pair.y, expo), np.where(far, pair.hi, anchor)
+    out = _into(out, np.exp, expo)
+    out *= anchor
     return _ret(_on_diagonal(pair, out), pair.scalar and not p.ndim)
 
 
 def power_mean(a, b, p, *, pair=None, out=None):
     """M_p = ((a^p + b^p)/2)^(1/p), with M_0 = G and a stable p ~ 0 limit."""
-    return _power_type_mean("Mp", a, b, p, pair, out)
+    return _power_type_mean("Mp", p, a, b, pair=pair, out=out)
 
 
 def power_mean_exponent(a, b, p, *, pair=None, out=None):
@@ -496,7 +505,7 @@ def power_mean_exponent(a, b, p, *, pair=None, out=None):
 
 def heronian_mean(a, b, p, *, pair=None, out=None):
     """H_p = ((a^p + (ab)^(p/2) + b^p)/3)^(1/p), H_0 = G."""
-    return _power_type_mean("Hp", a, b, p, pair, out)
+    return _power_type_mean("Hp", p, a, b, pair=pair, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -520,13 +529,13 @@ def log_over_arithmetic(kind: "MeanKind", a, b, *, pair=None, out=None):
     elif tag == "P":  # P/A = sin(x)/x
         out = _into(out, np.negative, _into(out, np.log1p, series.xoversin_minus_one(pair.x)))
     elif tag == "X":
-        out = _x_cot_x_minus_one(pair, out)
+        out = _into(out, np.positive, pair.xc)
     elif tag == "L":  # L/A = 1/(1 + w)
-        out = _into(out, np.negative, _into(out, np.log1p, _y_coth_y_minus_one(pair, out)))
+        out = _into(out, np.negative, _into(out, np.log1p, pair.w))
     elif tag == "Y":
-        out = _into(out, np.add, _tanh_over_y_minus_one(pair, out), pair.log_g)
+        out = _into(out, np.add, _log_y_over_g(pair, out), pair.log_g)
     elif tag == "I":
-        out = _into(out, np.add, _y_coth_y_minus_one(pair, out), pair.log_g)
+        out = _into(out, np.add, pair.w, pair.log_g)
     elif tag in _POWER_TYPE:
         expo = _power_exponent(pair, kind.exponent, *_POWER_TYPE[tag], out)
         out = _into(out, np.add, expo, pair.log_g)
@@ -629,14 +638,8 @@ def mean_kernel(kind: MeanKind):
     """Two-argument array function implementing the kind; it takes the
     prepared ``Pair(a, b)`` as the keyword ``pair`` too, and an array to
     write its result into as ``out``."""
-    if kind.tag == "Mp":
-        return lambda a, b, *, pair=None, out=None: power_mean(
-            a, b, kind.exponent, pair=pair, out=out
-        )
-    if kind.tag == "Hp":
-        return lambda a, b, *, pair=None, out=None: heronian_mean(
-            a, b, kind.exponent, pair=pair, out=out
-        )
+    if kind.tag in _POWER_TYPE:
+        return partial(_power_type_mean, kind.tag, kind.exponent)
     return _KERNELS[kind.tag]
 
 

@@ -49,7 +49,6 @@ def _check_open_interval(x) -> np.ndarray:
 def ratio_eval(fn: RatioFn, x):
     """Evaluate one ratio function; scalar in, float out; array in, array out."""
     xs = _check_open_interval(x)
-    scalar = xs.ndim == 0
     s = series.xoversin_minus_one(xs)  # x/sin(x) - 1 > 0
     w = series.xcotx_minus_one(xs)  # x cot(x) - 1 < 0
     with np.errstate(all="ignore"):
@@ -66,26 +65,24 @@ def ratio_eval(fn: RatioFn, x):
             out = (1.0 + w) + (1.0 + s) ** 2
         else:  # pragma: no cover
             raise DomainError(f"unknown ratio function {fn!r}")
-    return float(out) if scalar else out
+    return float(out) if xs.ndim == 0 else out
 
 
 def cusa_margin(x):
     """(cos x + 2)/3 - sin(x)/x, rearranged so the O(x^4) value survives."""
     xs = _check_open_interval(x)
-    scalar = xs.ndim == 0
     s = series.xoversin_minus_one(xs)
     out = s / (1.0 + s) - (2.0 / 3.0) * np.sin(0.5 * xs) ** 2
-    return float(out) if scalar else out
+    return float(out) if xs.ndim == 0 else out
 
 
 def cusa_aux_margin(x):
     """cusa_aux(x) - 2 = s^2 + 2 s - u with s = x/sin x - 1, u = 1 - x cot x."""
     xs = _check_open_interval(x)
-    scalar = xs.ndim == 0
     s = series.xoversin_minus_one(xs)
     u = -series.xcotx_minus_one(xs)
     out = s * s + 2.0 * s - u
-    return float(out) if scalar else out
+    return float(out) if xs.ndim == 0 else out
 
 
 @functools.cache
@@ -120,13 +117,10 @@ def _seiffert_gap_dev_coeffs() -> np.ndarray:
 def seiffert_gap_deviation(x):
     """seiffert_gap_ratio(x) - 1, cancellation-free (value is O(x^6) near 0)."""
     xs = _check_open_interval(x)
-    scalar = xs.ndim == 0
     z = xs * xs
     numer = z * z * z * series._poly_in_x2(_seiffert_gap_dev_coeffs(), z)
-    w = series.xcotx_minus_one(xs)
-    den = np.cos(xs) - np.expm1(w)
-    out = numer / den
-    return float(out) if scalar else out
+    out = numer / (np.cos(xs) - np.expm1(series.xcotx_minus_one(xs)))
+    return float(out) if xs.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -149,8 +143,13 @@ EXPECTED_DIRECTION = {
 }
 
 
-def check_monotone(fn: RatioFn, samples: int, delta: float = 1e-6) -> MonotonicityVerdict:
-    """Strict-ordering verdict over a deterministic grid (delta, pi/2 - delta).
+def monotone_samples(samples: int) -> np.ndarray:
+    """check_monotone's fixed grid: samples points on [1e-6, pi/2 - 1e-6]."""
+    return np.linspace(1e-6, _PI / 2 - 1e-6, samples)
+
+
+def check_monotone(fn: RatioFn, samples: int) -> MonotonicityVerdict:
+    """Strict-ordering verdict over the deterministic grid monotone_samples.
 
     Sample based, not a proof; the grid is fixed so any failure reproduces.
     The two functions that are flat to fourth order or beyond at 0 are
@@ -159,7 +158,7 @@ def check_monotone(fn: RatioFn, samples: int, delta: float = 1e-6) -> Monotonici
     """
     if samples < 2:
         raise DomainError("need at least two samples")
-    xs = np.linspace(delta, _PI / 2 - delta, samples)
+    xs = monotone_samples(samples)
     if fn == RatioFn.SEIFFERT_GAP_RATIO:
         vals = seiffert_gap_deviation(xs)
     elif fn == RatioFn.CUSA_AUX:
@@ -197,8 +196,8 @@ def _richardson(values: np.ndarray, ratio: float, levels: int) -> float:
     return float(est)
 
 
-def endpoint_limit(fn: RatioFn, endpoint: str, offset: float = 1e-2, nodes: int = 11) -> float:
-    """Limit at an interval end via Richardson extrapolation on x_k = offset/2^k.
+def endpoint_limit(fn: RatioFn, endpoint: str) -> float:
+    """Limit at an interval end via Richardson extrapolation on 1e-2/2^k, k < 11.
 
     Near zero the functions are even series in x, so the step variable is x^2
     (ratio 4); near pi/2 the expansion has every power of the distance d, so
@@ -206,8 +205,7 @@ def endpoint_limit(fn: RatioFn, endpoint: str, offset: float = 1e-2, nodes: int 
     """
     if endpoint not in ENDPOINTS:
         raise DomainError(f"endpoint must be one of {ENDPOINTS}")
-    ks = np.arange(nodes)
-    steps = offset * 0.5**ks
+    steps = 1e-2 * 0.5 ** np.arange(11)
     if endpoint == "zero":
         xs = steps
         ratio = 4.0

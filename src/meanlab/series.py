@@ -201,33 +201,32 @@ def first_omitted_term(kind: SeriesKind, x: float, terms: int) -> float:
 # These return the sum part alone, so callers never subtract the leading 1.
 
 
-def xcotx_minus_one(x, terms: int = DEFAULT_TERMS):
+def _sum_part(kind: SeriesKind, xs: np.ndarray):
+    """x^2 sum c_n x^(2n-2), the sum part of the kind's series; a float at 0-d xs."""
+    x2 = xs * xs
+    out = x2 * _poly_in_x2(_float_coeffs(kind, DEFAULT_TERMS), x2)
+    return float(out) if xs.ndim == 0 else out
+
+
+def xcotx_minus_one(x):
     """x*cot(x) - 1 with full relative accuracy on (-pi, pi)."""
     _check_series_domain(SeriesKind.X_COT_X, x)
-    xs = np.asarray(x, dtype=float)
-    x2 = xs * xs
-    out = -x2 * _poly_in_x2(_float_coeffs(SeriesKind.X_COT_X, terms), x2)
-    return float(out) if xs.ndim == 0 else out
+    return -_sum_part(SeriesKind.X_COT_X, np.asarray(x, dtype=float))
 
 
-def xoversin_minus_one(x, terms: int = DEFAULT_TERMS):
+def xoversin_minus_one(x):
     """x/sin(x) - 1 with full relative accuracy on (-pi, pi)."""
     _check_series_domain(SeriesKind.X_OVER_SIN, x)
-    xs = np.asarray(x, dtype=float)
-    x2 = xs * xs
-    out = x2 * _poly_in_x2(_float_coeffs(SeriesKind.X_OVER_SIN, terms), x2)
-    return float(out) if xs.ndim == 0 else out
+    return _sum_part(SeriesKind.X_OVER_SIN, np.asarray(x, dtype=float))
 
 
-def ycothy_minus_one(y, terms: int = DEFAULT_TERMS):
+def ycothy_minus_one(y):
     """y*coth(y) - 1 with full relative accuracy for |y| up to about 1.4
     (radius of convergence pi)."""
     ys = np.asarray(y, dtype=float)
     if (np.abs(ys) >= math.pi).any():
         raise SeriesDomainError("ycothy_minus_one requires |y| < pi")
-    y2 = ys * ys
-    out = y2 * _poly_in_x2(_float_coeffs(SeriesKind.COTH_X, terms), y2)
-    return float(out) if ys.ndim == 0 else out
+    return _sum_part(SeriesKind.COTH_X, ys)
 
 
 #: The most terms sinh_over_y takes: past them (2k+1)! exceeds the doubles.

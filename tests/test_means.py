@@ -1,3 +1,4 @@
+import collections
 import math
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import meanlab.means as M
+from meanlab import series
 from meanlab.errors import DegeneratePairError, DomainError
+from meanlab.expressions import GridContext, Workspace, parse_expr
 from meanlab.means import MeanKind, PositivePair
 
 import oracles
@@ -298,6 +301,40 @@ class TestWidePairs:
                 assert _ulps(value, ref[tag]) <= self.BUDGET[tag], (tag, hi, lo, value)
 
 
+class TestPowerTypeAndExponentialMeansOverTheFullRange:
+    ORDERS = (-3.0, 0.5, 2.0)
+
+    @given(_POSITIVE_DOUBLES, _POSITIVE_DOUBLES)
+    @example(1.7e308, 5e-324)  # e^E overflowed in M_p = G e^E
+    @example(2.2250738585072014e-308, 3e-320)  # G subnormal: M_2 was 5.6e-11 off as G e^E
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("error")
+    def test_finite_in_range_and_accurate(self, a, b):
+        # on the scalar path and the grid path (with and without a buffer to
+        # write into)
+        lo, hi = min(a, b), max(a, b)
+        pair = np.array([a]), np.array([b])
+
+        def values(kernel, *p):
+            return kernel(a, b, *p), *kernel(*pair, *p), *kernel(*pair, *p, out=np.empty(1))
+
+        ref = oracles.mp_means(a, b)
+        for tag, kernel in (("X", M.x_mean), ("Y", M.y_mean)):
+            for value in values(kernel):
+                assert math.isfinite(value) and lo <= value <= hi, (tag, a, b, value)
+                assert _ulps(value, ref[tag]) <= 4.0, (tag, a, b, value)
+        for kernel, oracle in ((M.power_mean, oracles.mp_power_mean),
+                               (M.heronian_mean, oracles.mp_heronian)):
+            for p in self.ORDERS:
+                ref = oracle(a, b, p)
+                for value in values(kernel, p):
+                    assert math.isfinite(value) and lo <= value <= hi, (kernel, p, a, b, value)
+                    # within 1e-12 relative; a subnormal result is only as
+                    # close as its spacing
+                    error = abs(mpmath.mpf(value) - ref)
+                    assert error <= 1e-12 * ref + 2.0**-1074, (kernel, p, a, b, value)
+
+
 class TestDualRoutes:
     def _pairs_with_tiny_band(self):
         a1, b1 = _random_pairs(900, 21)
@@ -568,8 +605,41 @@ class TestOutArgument:
             return lent[-1]
 
         pair, plain = M.Pair(a, b, alloc=alloc), M.Pair(a, b)
-        for name in ("hi", "lo", "t", "g", "y", "x", "log_g"):
+        for name in ("hi", "lo", "t", "g", "y", "x", "log_g", "xc", "w"):
             got = getattr(pair, name)
             assert any(got is buf for buf in lent), name
             assert _bits(got).tolist() == _bits(getattr(plain, name)).tolist(), name
-        assert len(lent) == 7
+        assert len(lent) == 9
+
+
+class TestExponentsOncePerPair:
+    # x cot x - 1 and w = y coth y - 1 are quantities of the pair: each
+    # series runs once per pair, however many kernels and offsets read them
+    EXPRESSIONS = ("Y", "G - Y", "A - L", "I - L", "X", "log(X/A)")
+    GRID = np.geomspace(1.01, 1e3, 64)  # straddles SERIES_T_THRESHOLD (a/b = 15)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("xcotx_minus_one", "ycothy_minus_one"):
+            def counted(x, fn=getattr(series, name), name=name):
+                calls[name] += 1
+                return fn(x)
+
+            monkeypatch.setattr(series, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("workspace", [None, Workspace()], ids=["plain", "workspace"])
+    def test_on_a_grid(self, calls, workspace):
+        t = M.Pair(self.GRID, 1.0).t
+        assert (t < M.SERIES_T_THRESHOLD).any() and (t >= M.SERIES_T_THRESHOLD).any()
+        with GridContext(self.GRID, 1.0, workspace) as ctx:
+            for text in self.EXPRESSIONS:
+                ctx.release(ctx.evaluate(parse_expr(text)))
+        assert calls == {"xcotx_minus_one": 1, "ycothy_minus_one": 1}
+
+    def test_on_a_scalar_pair(self, calls):
+        ctx = GridContext(1.5, 1.0)
+        for text in self.EXPRESSIONS:
+            ctx.evaluate(parse_expr(text))
+        assert calls == {"xcotx_minus_one": 1, "ycothy_minus_one": 1}
