@@ -10,7 +10,7 @@ margin exceeds the strictness guard.
 Near a == b most links are tangent to second order or higher, so margins
 there sit at (or below) the double-precision noise floor; reports record
 whatever the arithmetic resolves.  Sharpness probes therefore treat only
-margins below -margin_guard as violations.
+margins below -DEFAULT_MARGIN_GUARD as violations.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ from .means import geometric, power_mean, power_mean_exponent
 
 DEFAULT_MARGIN_GUARD = 1e-13
 
+#: sharpness_probes tightens each probed constant by this much.
+PROBE_EPSILON = 1e-3
+
 #: bracket_best_exponent scans the integer orders in this range, then bisects.
 BRACKET_SEARCH_RANGE = (-8.0, 8.0)
 
@@ -43,10 +46,10 @@ _EPS = float(np.finfo(float).eps)
 #: Grid points per chunk, at most (a chunk of the refined grid adds the extra
 #: points in its range).  Each chunk is evaluated on its own context, whose
 #: arrays are buffers of the chunk's size lent by its worker's workspace: the
-#: pairs' quantities, each mean and offset until the last member that reads it
-#: is dropped, each member's values until its last link, and the margins.  On
-#: the chain suite a worker holds at most 25 of them, 10 MB at 50 000 points
-#: and well past a core's L2 cache.  The workspace allocates them once per
+#: pairs' quantities, each mean until the last member that reads it is
+#: dropped, each member's values until its last link, and the margins.  On
+#: the chain suite a worker allocates 23 of them, 9 MB at 50 000 points and
+#: well past a core's L2 cache.  The workspace allocates them once per
 #: stage, so their pages are faulted in once per worker and stage, not once
 #: per chunk.  Memory grows with the chunk size and the core count, not the
 #: grid.
@@ -212,22 +215,18 @@ class ChainReport:
         }
 
 
-def _rel_margins(lhs: np.ndarray, rhs: np.ndarray, positive: bool = False, out=None) -> np.ndarray:
+def _rel_margins(lhs: np.ndarray, rhs: np.ndarray, out=None) -> np.ndarray:
     """(rhs - lhs)/max(|lhs|, |rhs|), and 0 where that denominator is 0 or NaN.
 
-    positive: both sides are known to be > 0 everywhere, so the denominator
-    is max(lhs, rhs) and never 0.  out: two arrays of the sides' shape that
-    receive the denominator and the margins (which are returned)."""
+    out: two arrays of the sides' shape that receive the denominator and the
+    margins (which are returned)."""
     denom, margins = out if out is not None else (np.empty_like(lhs), np.empty_like(lhs))
-    if positive:
-        np.maximum(lhs, rhs, out=denom)
-    else:
-        np.abs(lhs, out=denom)
-        np.maximum(denom, np.abs(rhs, out=margins), out=denom)
+    np.abs(lhs, out=denom)
+    np.maximum(denom, np.abs(rhs, out=margins), out=denom)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.subtract(rhs, lhs, out=margins)
         np.divide(margins, denom, out=margins)
-    if not positive and not denom.min() > 0.0:  # NaN fails this test too
+    if not denom.min() > 0.0:  # NaN fails this test too
         margins[~(denom > 0.0)] = 0.0
     return margins
 
@@ -249,30 +248,29 @@ def _ratio_bound(c: float) -> float:
     return (1.0 + 4.0 * _EPS) / d if d > 0.0 else math.inf
 
 
-def _link_minimum(lhs, rhs, positive: bool, finite: bool, workspace: Workspace):
+def _link_minimum(lhs, rhs, clean: bool, workspace: Workspace):
     """(j, margin): j = np.argmin(_rel_margins(lhs, rhs)) and the margin
-    there, bit for bit.  positive: both sides are > 0 everywhere; finite:
-    and below inf.
+    there, bit for bit.  clean: both sides are > 0 and below inf everywhere.
 
-    Where both hold, the margin is an increasing function of q = rhs/lhs up
+    Where they are, the margin is an increasing function of q = rhs/lhs up
     to two roundings: one division finds the least q, and the margin is
     computed only at the points whose q could give it a margin as small
     (_ratio_bound), whose first argmin is the whole link's.  Elsewhere (a side
     that is 0, negative, inf or NaN somewhere; at an inf side the margin is
     NaN while q is inf or 0) the margins are computed at every point."""
     buffer = workspace.take(lhs.size)
-    if positive and finite:
+    if clean:
         with np.errstate(over="ignore"):  # q is inf where rhs/lhs overflows
             q = np.divide(rhs, lhs, out=buffer)
         i = int(np.argmin(q))
         l, r = float(lhs[i]), float(rhs[i])
         idx = np.flatnonzero(q <= _ratio_bound((r - l) / max(l, r)))
-        margins = _rel_margins(lhs[idx], rhs[idx], True)
+        margins = _rel_margins(lhs[idx], rhs[idx])
         k = int(np.argmin(margins))
         j, margin = int(idx[k]), margins[k]
     else:
         other = workspace.take(lhs.size)
-        margins = _rel_margins(lhs, rhs, positive, (other, buffer))
+        margins = _rel_margins(lhs, rhs, (other, buffer))
         j = int(np.argmin(margins))
         margin = margins[j]
         workspace.give(other)
@@ -286,8 +284,8 @@ class _LinkPlan:
     evaluates each member and scans each link once however many lists share
     them.  Links are scanned as soon as their later member is evaluated, and
     a member's values are dropped after the last link that reads them, as
-    are the cached means and offsets after the last member that reads them
-    is dropped."""
+    are the cached means after the last member that reads them is
+    dropped."""
 
     def __init__(self, member_lists):
         slots: dict = {}
@@ -310,11 +308,11 @@ class _LinkPlan:
         last_read = {}
         for m, step in enumerate(last_use):
             self.drop[step].append(m)
-            for key in cached_reads(self.members[m]):
-                last_read[key] = max(last_read.get(key, 0), step)
+            for kind in cached_reads(self.members[m]):
+                last_read[kind] = max(last_read.get(kind, 0), step)
         self.uncache = [[] for _ in self.members]
-        for key, step in last_read.items():
-            self.uncache[step].append(key)
+        for kind, step in last_read.items():
+            self.uncache[step].append(kind)
 
     def scan(self, ratios: np.ndarray, b, workspace: Workspace):
         """Over the pairs (ratios*b, b): per link, (min margin, ratio at the
@@ -328,13 +326,12 @@ class _LinkPlan:
             return out, errors
         n = ratios.size
         a = np.multiply(ratios, b, out=workspace.take(n))
-        values, positive, finite = {}, {}, {}
+        values, clean = {}, {}
         with GridContext(a, b, workspace=workspace) as ctx:
             for s, member in enumerate(self.members):
                 try:
                     values[s] = v = np.asarray(ctx.evaluate(member))
-                    positive[s] = v.min() > 0.0
-                    finite[s] = positive[s] and v.max() < math.inf
+                    clean[s] = v.min() > 0.0 and v.max() < math.inf
                 except EvalError as exc:
                     # kept without its traceback, whose frames would hold the
                     # scan's arrays for as long as the error is kept
@@ -343,9 +340,7 @@ class _LinkPlan:
                     l, r = self.links[k]
                     if l in values and r in values:
                         lhs, rhs = values[l], values[r]
-                        j, margin = _link_minimum(
-                            lhs, rhs, positive[l] and positive[r], finite[l] and finite[r], workspace
-                        )
+                        j, margin = _link_minimum(lhs, rhs, clean[l] and clean[r], workspace)
                         # as Python floats, two infinities subtract without a warning
                         out[k] = (margin, float(ratios[j]), float(rhs[j]) - float(lhs[j]))
                 for m in self.drop[s]:
@@ -805,7 +800,7 @@ class ProbeOutcome:
         return row
 
 
-def _run_probes(templates, epsilon: float, grid: GridSpec, margin_guard: float):
+def _run_probes(templates, epsilon: float, grid: GridSpec):
     tightened = [tpl.build(tpl.nominal + tpl.tighten_sign * epsilon).members for tpl in templates]
     minima = _grid_link_minima(
         tightened, grid.n, lambda lo, hi: refined_ratios(grid, lo, hi), grid.b
@@ -820,7 +815,7 @@ def _run_probes(templates, epsilon: float, grid: GridSpec, margin_guard: float):
         for margin, ratio, _ in links:
             if margin < worst:
                 worst, worst_ratio = margin, ratio
-        violated = worst < -margin_guard
+        violated = worst < -DEFAULT_MARGIN_GUARD
         pair = (float(worst_ratio * grid.b), float(grid.b)) if violated else None
         outcomes.append(ProbeOutcome(*head, violated, pair, worst))
     return outcomes
@@ -832,7 +827,6 @@ def sharpness_probe(
     direction: str,
     epsilon: float,
     grid: GridSpec | None = None,
-    margin_guard: float = DEFAULT_MARGIN_GUARD,
 ) -> ProbeOutcome:
     """Tighten one chain constant by epsilon and hunt for a violation on the
     refined grid.  violation_found certifies the constant cannot be improved
@@ -864,15 +858,15 @@ def sharpness_probe(
             f"constant {constant!r} of {chain_id} is a {tpl.side}-side constant;"
             f" use {tpl.direction}"
         )
-    return _run_probes([tpl], epsilon, grid or GridSpec(), margin_guard)[0]
+    return _run_probes([tpl], epsilon, grid or GridSpec())[0]
 
 
-def sharpness_probes(grid: GridSpec | None = None, epsilon: float = 1e-3) -> list[ProbeOutcome]:
+def sharpness_probes(grid: GridSpec | None = None) -> list[ProbeOutcome]:
     """sharpness_probe for every template, in registry order, tightening
-    each constant by epsilon.  The refined grid is streamed like the chain
-    stage's: each chunk of the grid, with the extra points in its range, gets
-    one context that all probes share."""
-    return _run_probes(list(_TEMPLATES.values()), epsilon, grid or GridSpec(), DEFAULT_MARGIN_GUARD)
+    each constant by PROBE_EPSILON.  The refined grid is streamed like the
+    chain stage's: each chunk of the grid, with the extra points in its
+    range, gets one context that all probes share."""
+    return _run_probes(list(_TEMPLATES.values()), PROBE_EPSILON, grid or GridSpec())
 
 
 # ---------------------------------------------------------------------------

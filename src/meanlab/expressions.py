@@ -13,12 +13,14 @@ Grammar (usual precedence, ^ binds tightest and right-associates):
              | '(' expr ')'
     MEAN    := 'A'|'G'|'H'|'L'|'I'|'P'|'X'|'Y'
 
-Evaluation is elementwise over numpy arrays of pairs.  Subtrees of the shapes
-M1 - M2, log(M1/M2), 1 - M1/M2 and M1/M2 - 1 (mean leaves only) are computed
-from d = log(M1/M2) = u1 - u2, the difference of the means' log offsets
-u = log(M/A), so differences that vanish at a == b keep full relative
-accuracy instead of dissolving into rounding noise, and stay finite however
-far the means fall below A.
+A tree is walked by one :func:`fold`, whose algebra gives a node's text,
+the means it reads, or its value: elementwise over numpy arrays of pairs in
+the float algebra of a :class:`GridContext`, which caches the grid's means.
+Subtrees of the shapes M1 - M2, log(M1/M2), 1 - M1/M2 and M1/M2 - 1 (mean
+leaves only) are computed from d = log(M1/M2) = u1 - u2, the difference of
+the means' log offsets u = log(M/A), so differences that vanish at a == b
+keep full relative accuracy instead of dissolving into rounding noise, and
+stay finite however far the means fall below A.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Union
 
 import numpy as np
@@ -223,21 +226,45 @@ def parse_expr(text: str) -> MeanExpr:
     return _Parser(text).parse()
 
 
+def fold(node: MeanExpr, algebra):
+    """node's value in algebra, folding each node's children left to right.
+
+    Leaves call ``num(value)``, ``const(name)`` and ``mean(kind)``, inner
+    nodes ``call(node, x)``, ``nested(node, u, v)`` and ``binop(node, l, r)``.
+    An algebra with ``offset_form(node, form, kind1, kind2)`` gets each match
+    of :func:`_offset_form` whole, with no child folded."""
+    if isinstance(node, Num):
+        return algebra.num(node.value)
+    if isinstance(node, Const):
+        return algebra.const(node.name)
+    if isinstance(node, MeanSymbol):
+        return algebra.mean(node.kind)
+    log_or_minus = getattr(node, "fn", None) == "log" or getattr(node, "op", None) == "-"
+    form = _offset_form(node) if log_or_minus and hasattr(algebra, "offset_form") else None
+    if form is not None:
+        return algebra.offset_form(node, *form)
+    if isinstance(node, Call):
+        return algebra.call(node, fold(node.arg, algebra))
+    if isinstance(node, MeanCall):
+        return algebra.nested(node, fold(node.lhs, algebra), fold(node.rhs, algebra))
+    if isinstance(node, BinOp):
+        return algebra.binop(node, fold(node.lhs, algebra), fold(node.rhs, algebra))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+_TEXT = SimpleNamespace(
+    num=lambda value: repr(value) if value >= 0 else f"({value!r})",
+    const=str,
+    mean=MeanKind.label,
+    call=lambda node, x: f"{node.fn}({x})",
+    nested=lambda node, u, v: f"{node.kind.label()}({u}, {v})",
+    binop=lambda node, l, r: f"({l} {node.op} {r})",
+)
+
+
 def to_text(expr: MeanExpr) -> str:
     """Round-trippable rendering (fully parenthesized where it matters)."""
-    if isinstance(expr, Num):
-        return repr(expr.value) if expr.value >= 0 else f"({expr.value!r})"
-    if isinstance(expr, Const):
-        return expr.name
-    if isinstance(expr, MeanSymbol):
-        return expr.kind.label()
-    if isinstance(expr, Call):
-        return f"{expr.fn}({to_text(expr.arg)})"
-    if isinstance(expr, MeanCall):
-        return f"{expr.kind.label()}({to_text(expr.lhs)}, {to_text(expr.rhs)})"
-    if isinstance(expr, BinOp):
-        return f"({to_text(expr.lhs)} {expr.op} {to_text(expr.rhs)})"
-    raise TypeError(f"not an expression node: {expr!r}")
+    return fold(expr, _TEXT)
 
 
 class Workspace:
@@ -265,17 +292,19 @@ class Workspace:
 
 
 class GridContext:
-    """One grid of pairs with a cache of mean values and log offsets.
+    """One grid of pairs, the float algebra that folds expressions over it,
+    and a cache of the grid's means by MeanKind.
 
     Every expression evaluated on the same context shares the cache, so each
     mean kernel runs once per grid however many expressions use it, and all
-    of them read one validated :class:`means.Pair`.  Means applied to
-    subexpressions (``L(X, A)``) are not cached and prepare their own pair.
+    of them read one validated :class:`means.Pair`.  Nothing else is cached:
+    a mean of subexpressions (``L(X, A)``) prepares its own pair, and an
+    offset form's two log offsets are node results.
 
-    With a :class:`Workspace`, the pair's quantities, the cached values and
+    With a :class:`Workspace`, the pair's quantities, the cached means and
     the node results are written into buffers lent by it instead of fresh
     arrays, and each is given back once: a node result that evaluate
-    returned by ``release``, a cached value by ``forget``, and whatever is
+    returned by ``release``, a cached mean by ``forget``, and whatever is
     still held by ``close`` (or on leaving a ``with`` block).
     """
 
@@ -283,7 +312,7 @@ class GridContext:
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self._pair = None
-        self._cache: dict[tuple[str, MeanKind], np.ndarray] = {}
+        self._cache: dict[MeanKind, np.ndarray] = {}
         self._workspace = workspace
         if workspace is not None:
             self._shape = np.broadcast(self.a, self.b).shape
@@ -317,11 +346,11 @@ class GridContext:
             if buf is not None:
                 self._workspace.give(buf)
 
-    def forget(self, keys) -> None:
-        """Drop the cached values of these keys (as from cached_reads) and
-        give back their buffers; a value read again is computed again."""
-        for key in keys:
-            got = self._cache.pop(key, None)
+    def forget(self, kinds) -> None:
+        """Drop the cached means of these kinds (as from cached_reads) and
+        give back their buffers; a mean read again is computed again."""
+        for kind in kinds:
+            got = self._cache.pop(kind, None)
             if got is not None and self._workspace is not None:
                 self._workspace.give(got)
 
@@ -354,20 +383,6 @@ class GridContext:
             self.release(x)
         return out
 
-    def _nested_mean(self, kind: MeanKind, u, v):
-        """The mean of computed operands (as in ``L(X, A)``) as a node
-        result.  Its pair is prepared for this call alone, and with a
-        workspace the pair's quantities are lent for the call."""
-        kernel = means.mean_kernel(kind)
-        if self._workspace is None:
-            return kernel(u, v)
-        lent = []
-        pair = means.Pair(u, v, alloc=self._lender(lent))
-        out = self._apply(functools.partial(kernel, pair=pair), u, v)
-        for buf in lent:
-            self._workspace.give(buf)
-        return out
-
     @property
     def pair(self) -> means.Pair:
         """The grid's pairs, validated and canonicalized once for every
@@ -377,31 +392,82 @@ class GridContext:
             self._pair = means.Pair(self.a, self.b, alloc=alloc)
         return self._pair
 
-    def mean(self, kind: MeanKind):
-        got = self._cache.get(("mean", kind))
-        return self._compute(("mean", kind), means.mean_kernel(kind)) if got is None else got
-
-    def offset(self, kind: MeanKind):
-        """The log offset u = log(M/A) of a mean of the grid's pairs."""
-        got = self._cache.get(("offset", kind))
-        if got is None:
-            got = self._compute(("offset", kind), means.log_over_arithmetic, kind)
-        return got
-
-    def _compute(self, key, kernel, *args):
+    def _kernel(self, kernel, *args):
+        """kernel(*args, a, b) of the grid's pairs; with a workspace, lent."""
         out = None if self._workspace is None else self._lend()
         got = kernel(*args, self.a, self.b, pair=self.pair, out=out)
         # a scalar pair's value is held as a numpy scalar, on which the
         # expression's arithmetic is some 20 times cheaper than on a 0-d array
-        got = np.float64(got) if isinstance(got, float) else np.asarray(got)
-        self._cache[key] = got
+        return np.float64(got) if isinstance(got, float) else np.asarray(got)
+
+    def _guard(self, node: MeanExpr, values, bad):
+        """values, or an EvalError at the first pair where bad holds."""
+        if bad.any():
+            i = int(np.argmax(bad))
+            pair = tuple(float(x.flat[i]) for x in np.broadcast_arrays(self.a, self.b))
+            raise EvalError("invalid operand", to_text(node), pair)
+        return values
+
+    num = np.float64  # the float algebra's leaves are numpy scalars
+
+    def const(self, name: str):
+        return np.float64(_CONSTANTS[name])
+
+    def mean(self, kind: MeanKind):
+        got = self._cache.get(kind)  # one hash of kind, a dataclass's
+        if got is None:
+            got = self._cache[kind] = self._kernel(means.mean_kernel(kind))
         return got
 
-    def first_bad_pair(self, mask):
-        idx = int(np.argmax(mask))
-        a = self.a if self.a.ndim else np.full(1, float(self.a))
-        b = self.b if self.b.ndim else np.full(1, float(self.b))
-        return (float(np.ravel(a)[min(idx, a.size - 1)]), float(np.ravel(b)[min(idx, b.size - 1)]))
+    def call(self, node: Call, x):
+        if node.fn == "exp":
+            with np.errstate(all="ignore"):
+                out = self._apply(np.exp, x)
+            return self._guard(node, out, ~np.isfinite(np.asarray(out)))
+        self._guard(node, x, ~(np.asarray(x) > 0.0) if node.fn == "log" else np.asarray(x) < 0.0)
+        return self._apply(getattr(np, node.fn), x)  # log or sqrt
+
+    def nested(self, node: MeanCall, u, v):
+        """The mean of computed operands (as in ``L(X, A)``).  Its pair is
+        prepared for this call alone, and with a workspace the pair's
+        quantities are lent for the call."""
+        self._guard(node, None, ~((np.asarray(u) > 0.0) & (np.asarray(v) > 0.0)))
+        kernel = means.mean_kernel(node.kind)
+        if self._workspace is None:
+            return np.asarray(kernel(u, v))
+        lent = []
+        pair = means.Pair(u, v, alloc=self._lender(lent))
+        out = self._apply(functools.partial(kernel, pair=pair), u, v)
+        for buf in lent:
+            self._workspace.give(buf)
+        return out
+
+    def binop(self, node: BinOp, lhs, rhs):
+        with np.errstate(all="ignore"):
+            out = self._apply(_BINARY[node.op], lhs, rhs)
+        if node.op in ("/", "^"):
+            return self._guard(node, out, ~np.isfinite(np.asarray(out)))
+        return out
+
+    def offset_form(self, node: MeanExpr, form: str, kind1: MeanKind, kind2: MeanKind):
+        """An offset form as a function of d = log(M1/M2) = u1 - u2, from
+        the means' log offsets u = log(M/A); a non-finite result raises, as
+        a non-finite quotient does."""
+        u1, u2 = (self._kernel(means.log_over_arithmetic, kind) for kind in (kind1, kind2))
+        if self._workspace is not None:  # node results, unlike the cached means
+            self._results.update({id(u1): u1, id(u2): u2})
+        d = self._apply(np.subtract, u1, u2)
+        if form == "log":
+            out = d
+        elif form == "difference":
+            top = self._apply(np.maximum, self.mean(kind1), self.mean(kind2))
+            out = self._apply(np.multiply, top, self._apply(_signed_gap, d))
+        else:  # M1/M2 - 1 = expm1(d)
+            with np.errstate(all="ignore"):
+                out = self._apply(np.expm1, d)
+            if form == "one_minus":
+                out = self._apply(np.negative, out)
+        return self._guard(node, out, ~np.isfinite(np.asarray(out)))
 
     def evaluate(self, expr: MeanExpr):
         """Evaluate over this context's pairs: a float for a scalar pair,
@@ -409,7 +475,7 @@ class GridContext:
         results of an evaluation that raises are given back."""
         held = None if self._workspace is None else set(self._results)
         try:
-            value = _eval(expr, self)
+            value = fold(expr, self)
         except EvalError:
             if held is not None:
                 for key in set(self._results) - held:
@@ -438,12 +504,6 @@ def _mean_ratio(node: MeanExpr):
     return None
 
 
-def _guard(ctx: GridContext, node: MeanExpr, values, condition_bad):
-    if condition_bad.any():
-        raise EvalError("invalid operand", to_text(node), ctx.first_bad_pair(condition_bad))
-    return values
-
-
 def _offset_form(node: MeanExpr):
     """(form, kind1, kind2) when node is computed from its means' log
     offsets: ``log(M1/M2)``, ``M1 - M2``, ``1 - M1/M2`` or ``M1/M2 - 1`` of mean
@@ -463,17 +523,20 @@ def _offset_form(node: MeanExpr):
     return None
 
 
+_READS = SimpleNamespace(
+    num=lambda value: set(),
+    const=lambda name: set(),
+    mean=lambda kind: {kind},
+    call=lambda node, x: x,
+    nested=lambda node, u, v: u | v,
+    binop=lambda node, l, r: l | r,
+    offset_form=lambda node, form, *kinds: set(kinds) if form == "difference" else set(),
+)
+
+
 def cached_reads(node: MeanExpr) -> set:
-    """The cached values that evaluating node reads: ("mean", kind) for a
-    mean of the grid's pairs and ("offset", kind) for its log offset."""
-    form = _offset_form(node)
-    if form is not None:
-        names = ("offset", "mean") if form[0] == "difference" else ("offset",)
-        return {(name, kind) for name in names for kind in form[1:]}
-    if isinstance(node, MeanSymbol):
-        return {("mean", node.kind)}
-    children = [getattr(node, f) for f in ("lhs", "rhs", "arg") if hasattr(node, f)]
-    return set().union(*(cached_reads(c) for c in children))
+    """The kinds of the grid's means that a context caches to evaluate node."""
+    return fold(node, _READS)
 
 
 def _signed_gap(d, out=None):
@@ -482,65 +545,7 @@ def _signed_gap(d, out=None):
     return means._into(out, np.copysign, np.expm1(-abs(d)), d)
 
 
-def _eval_offset_form(ctx: GridContext, node: MeanExpr, form: str, kind1, kind2):
-    """An offset form as a function of d = log(M1/M2) = u1 - u2; a
-    non-finite result raises, as a non-finite quotient does."""
-    d = ctx._apply(np.subtract, ctx.offset(kind1), ctx.offset(kind2))
-    if form == "log":
-        out = d
-    elif form == "difference":
-        top = ctx._apply(np.maximum, ctx.mean(kind1), ctx.mean(kind2))
-        out = ctx._apply(np.multiply, top, ctx._apply(_signed_gap, d))
-    else:  # M1/M2 - 1 = expm1(d)
-        with np.errstate(all="ignore"):
-            out = ctx._apply(np.expm1, d)
-        if form == "one_minus":
-            out = ctx._apply(np.negative, out)
-    return _guard(ctx, node, out, ~np.isfinite(np.asarray(out)))
-
-
 _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
-
-
-def _eval(node: MeanExpr, ctx: GridContext):
-    if isinstance(node, Num):
-        return np.float64(node.value)
-    if isinstance(node, Const):
-        return np.float64(_CONSTANTS[node.name])
-    if isinstance(node, MeanSymbol):
-        return ctx.mean(node.kind)
-    # only a log or a difference can take an offset form
-    if getattr(node, "fn", None) == "log" or getattr(node, "op", None) == "-":
-        form = _offset_form(node)
-        if form is not None:
-            return _eval_offset_form(ctx, node, *form)
-    if isinstance(node, Call):
-        arg = _eval(node.arg, ctx)
-        if node.fn == "log":
-            _guard(ctx, node, arg, ~(np.asarray(arg) > 0.0))
-            return ctx._apply(np.log, arg)
-        if node.fn == "exp":
-            with np.errstate(all="ignore"):
-                out = ctx._apply(np.exp, arg)
-            return _guard(ctx, node, out, ~np.isfinite(np.asarray(out)))
-        # sqrt
-        _guard(ctx, node, arg, np.asarray(arg) < 0.0)
-        return ctx._apply(np.sqrt, arg)
-    if isinstance(node, MeanCall):
-        u = _eval(node.lhs, ctx)
-        v = _eval(node.rhs, ctx)
-        bad = ~((np.asarray(u) > 0.0) & (np.asarray(v) > 0.0))
-        _guard(ctx, node, None, bad)
-        return np.asarray(ctx._nested_mean(node.kind, u, v))
-    if isinstance(node, BinOp):
-        lhs = _eval(node.lhs, ctx)
-        rhs = _eval(node.rhs, ctx)
-        with np.errstate(all="ignore"):
-            out = ctx._apply(_BINARY[node.op], lhs, rhs)
-        if node.op in ("/", "^"):
-            return _guard(ctx, node, out, ~np.isfinite(np.asarray(out)))
-        return out
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 def evaluate(expr: MeanExpr, a, b):

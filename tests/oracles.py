@@ -7,10 +7,11 @@ regression in the oracle itself would be caught too.
 """
 
 import operator
+from types import SimpleNamespace
 
 from mpmath import mp, mpf, asin, exp, log, sqrt
 
-from meanlab.expressions import BinOp, Call, Const, MeanCall, MeanSymbol, Num
+from meanlab.expressions import fold
 
 mp.dps = 40
 
@@ -71,23 +72,18 @@ _MP_OPS = {
 def mp_eval(expr, a, b):
     """Value of a parsed expression at (a, b) at the working precision.
 
-    Only the tree's shape comes from the package: every leaf, operator and
-    nested mean is computed here with mpmath through mp_means, mp_power_mean
-    and mp_heronian.
+    Only the tree's shape and its fold come from the package: every leaf,
+    operator and nested mean is computed here with mpmath through mp_means,
+    mp_power_mean and mp_heronian, and no offset form is rewritten.
     """
-    if isinstance(expr, Num):
-        return mpf(expr.value)
-    if isinstance(expr, Const):
-        return mp.e if expr.name == "e" else mp.pi
-    if isinstance(expr, MeanSymbol):
-        return _mp_mean(expr.kind, a, b)
-    if isinstance(expr, BinOp):
-        return _MP_OPS[expr.op](mp_eval(expr.lhs, a, b), mp_eval(expr.rhs, a, b))
-    if isinstance(expr, Call):
-        return _MP_FUNCTIONS[expr.fn](mp_eval(expr.arg, a, b))
-    if isinstance(expr, MeanCall):
-        return _mp_mean(expr.kind, mp_eval(expr.lhs, a, b), mp_eval(expr.rhs, a, b))
-    raise TypeError(f"not an expression node: {expr!r}")
+    return fold(expr, SimpleNamespace(
+        num=mpf,
+        const=lambda name: mp.e if name == "e" else mp.pi,
+        mean=lambda kind: _mp_mean(kind, a, b),
+        call=lambda node, x: _MP_FUNCTIONS[node.fn](x),
+        nested=lambda node, u, v: _mp_mean(node.kind, u, v),
+        binop=lambda node, l, r: _MP_OPS[node.op](l, r),
+    ))
 
 
 # Frozen 32-digit reference values (floats hold the correctly rounded double).

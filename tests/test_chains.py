@@ -264,10 +264,10 @@ class TestChunkedScan:
             denom = np.maximum(np.abs(lhs), np.abs(rhs))
             with np.errstate(divide="ignore", invalid="ignore"):
                 expected = np.where(denom > 0.0, (rhs - lhs) / np.where(denom > 0.0, denom, 1.0), 0.0)
-            got = chains._rel_margins(lhs, rhs, known)
+            got = chains._rel_margins(lhs, rhs)
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
             if known:
-                got = chains._rel_margins(lhs, rhs, known, buffers)
+                got = chains._rel_margins(lhs, rhs, buffers)
                 assert got is buffers[1]
                 assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
@@ -305,7 +305,7 @@ class TestChunkedScan:
             finite = positive and max(lhs.max(), rhs.max()) < math.inf
             margins = chains._rel_margins(lhs, rhs)
             j = int(np.argmin(margins))
-            got = chains._link_minimum(lhs, rhs, positive, finite, workspace)
+            got = chains._link_minimum(lhs, rhs, finite, workspace)
             assert got[0] == j, (lhs, rhs)
             assert np.float64(got[1]).view(np.int64) == margins[j].view(np.int64), (lhs, rhs)
 

@@ -11,11 +11,14 @@ from meanlab.expressions import (
     BinOp,
     Call,
     Const,
+    GridContext,
     MeanCall,
     MeanSymbol,
     Num,
+    cached_reads,
     eval_expr,
     evaluate,
+    fold,
     parse_expr,
     to_text,
 )
@@ -259,6 +262,38 @@ class TestStablePatterns:
             assert got == pytest.approx((g - y) / (am - l), rel=1e-10)
             got = float(_ev("G/L - 1", a, 1.0))
             assert got == pytest.approx(g / l - 1.0, rel=1e-10)
+
+
+class TestFold:
+    @staticmethod
+    def _members():
+        """The distinct chain members, the tightened probe members, and
+        offset forms and a nested mean beyond them."""
+        from meanlab import chains
+
+        members = {m for chain in chains.builtin_suite() for m in chain.members}
+        for tpl in chains._TEMPLATES.values():
+            members |= set(tpl.build(tpl.nominal + tpl.tighten_sign * chains.PROBE_EPSILON).members)
+        texts = ("log(Y/G)", "1 - G/A", "I - L", "G/L - 1", "L(X, A)")
+        return members | {parse_expr(t) for t in texts}
+
+    def test_cached_reads_are_the_means_evaluation_caches(self):
+        # _LinkPlan frees the cached means that cached_reads names once their
+        # last reader is in; the two must agree on every member
+        a = np.array([1.5, 4.0, 100.0])
+        for member in self._members():
+            ctx = GridContext(a, 1.0)
+            ctx.evaluate(member)
+            assert set(ctx._cache) == cached_reads(member), to_text(member)
+
+    @pytest.mark.parametrize("bad", ["G", 2.0, None, BinOp("+", Num(1.0), "G")])
+    def test_a_non_node_raises_type_error(self, bad):
+        with pytest.raises(TypeError, match="not an expression node"):
+            fold(bad, GridContext(4.0, 1.0))
+        with pytest.raises(TypeError, match="not an expression node"):
+            to_text(bad)
+        with pytest.raises(TypeError, match="not an expression node"):
+            evaluate(bad, 4.0, 1.0)
 
 
 class TestToText:
