@@ -1,7 +1,11 @@
 """meanlab: bivariate means (A, G, H, L, I, P, X, Y, power, Heronian) with
 cancellation-safe evaluation, and a laboratory that verifies strict
 inequality chains between them, recovers their sharp constants by endpoint
-limits, and probes sharpness by perturbation."""
+limits, and probes sharpness by perturbation.
+
+The package holds only what the lab runs.  The second routes to L, I, P, X
+and Y and the full six-kind series catalogue, which only the tests read, are
+in tests/references.py beside the mpmath oracle."""
 
 __version__ = "0.1.0"
 
@@ -14,7 +18,6 @@ from .chains import (
     bracket_best_exponent,
     builtin_suite,
     conjecture_scan,
-    get_chain,
     sharpness_probe,
     verify_chain,
 )
@@ -29,7 +32,7 @@ from .errors import (
     ParseError,
     SeriesDomainError,
 )
-from .expressions import GridContext, MeanExpr, eval_expr, evaluate, parse_expr, to_text
+from .expressions import GridContext, MeanExpr, evaluate, parse_expr, to_text
 from .means import (
     MeanKind,
     MeanVector,
@@ -55,19 +58,11 @@ from .ratios import (
     RatioFn,
     check_monotone,
     cusa_aux_margin,
-    cusa_margin,
     endpoint_limit,
     named_constants,
     ratio_eval,
 )
-from .series import (
-    BernoulliTable,
-    SeriesKind,
-    bernoulli_even_abs,
-    coeff_ratio_monotonicity,
-    series_coefficients,
-    series_eval,
-)
+from .series import SeriesKind, series_coefficients
 
 __all__ = [
     "__version__",
@@ -79,7 +74,6 @@ __all__ = [
     "bracket_best_exponent",
     "builtin_suite",
     "conjecture_scan",
-    "get_chain",
     "sharpness_probe",
     "verify_chain",
     "ConfigError",
@@ -93,7 +87,6 @@ __all__ = [
     "SeriesDomainError",
     "GridContext",
     "MeanExpr",
-    "eval_expr",
     "evaluate",
     "parse_expr",
     "to_text",
@@ -119,14 +112,9 @@ __all__ = [
     "RatioFn",
     "check_monotone",
     "cusa_aux_margin",
-    "cusa_margin",
     "endpoint_limit",
     "named_constants",
     "ratio_eval",
-    "BernoulliTable",
     "SeriesKind",
-    "bernoulli_even_abs",
-    "coeff_ratio_monotonicity",
     "series_coefficients",
-    "series_eval",
 ]

@@ -735,13 +735,6 @@ def builtin_suite() -> tuple[InequalityChain, ...]:
     return _SUITE
 
 
-def get_chain(chain_id: str) -> InequalityChain:
-    for c in builtin_suite():
-        if c.id == chain_id:
-            return c
-    raise DomainError(f"unknown chain id {chain_id!r}")
-
-
 # ---------------------------------------------------------------------------
 # Sharpness probes
 # ---------------------------------------------------------------------------

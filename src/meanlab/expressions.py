@@ -551,8 +551,3 @@ _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^":
 def evaluate(expr: MeanExpr, a, b):
     """Evaluate over scalars or arrays of pair values (elementwise)."""
     return GridContext(a, b).evaluate(expr)
-
-
-def eval_expr(expr: MeanExpr, pair: means.PositivePair) -> float:
-    """Spec-shaped scalar entry point."""
-    return evaluate(expr, pair.a, pair.b)

@@ -356,17 +356,6 @@ def logarithmic(a, b, *, pair=None, out=None):
     return _ret(_half_slope(pair, pair.y, out), pair.scalar)
 
 
-def logarithmic_param(a, b):
-    """Hyperbolic route L = G sinh(y)/y, series below the threshold.  Above
-    it G sinh(y) = hi (1 - e^(-2y))/2, which stays finite past y = 710."""
-    pair = Pair(a, b)
-    with np.errstate(all="ignore"):
-        out = pair.hi * -np.expm1(-2.0 * pair.y) / (2.0 * pair.y)
-    small = pair.t < SERIES_T_THRESHOLD
-    out = _piecewise(small, out, lambda g, y: g * series.sinh_over_y(y), pair.g, pair.y)
-    return _ret(out, pair.scalar)
-
-
 def identric(a, b, *, pair=None, out=None):
     """I = (1/e)(a^a/b^b)^(1/(a-b)), anchored at hi.
 
@@ -386,25 +375,10 @@ def identric(a, b, *, pair=None, out=None):
     return _ret(_on_diagonal(pair, out), pair.scalar)
 
 
-def identric_param(a, b):
-    """Identity route log(I/G) = A/L - 1, anchored at hi = G e^y so that it
-    stays finite where G e^(A/L - 1) overflows."""
-    pair = Pair(a, b)
-    ratio = arithmetic(a, b, pair=pair) / logarithmic(a, b, pair=pair)
-    return _ret(pair.hi * np.exp(ratio - 1.0 - pair.y), pair.scalar)
-
-
 def seiffert(a, b, *, pair=None, out=None):
     """P = (a - b)/(2 arcsin t) = (hi - lo)/(2x)."""
     pair = _pair(a, b, pair)
     return _ret(_half_slope(pair, pair.x, out), pair.scalar)
-
-
-def seiffert_param(a, b):
-    """Series route P = A / (x/sin x) on the whole domain."""
-    pair = Pair(a, b)
-    sin_ratio = 1.0 + series.xoversin_minus_one(pair.x)
-    return _ret(arithmetic(a, b, pair=pair) / sin_ratio, pair.scalar)
 
 
 def x_mean(a, b, *, pair=None, out=None):
@@ -415,26 +389,12 @@ def x_mean(a, b, *, pair=None, out=None):
     return _ret(out, pair.scalar)
 
 
-def x_mean_direct(a, b):
-    """Defining route X = A e^(G/P - 1)."""
-    pair = Pair(a, b)
-    p = seiffert(a, b, pair=pair)
-    return _ret(arithmetic(a, b, pair=pair) * np.exp(pair.g / p - 1.0), pair.scalar)
-
-
 def y_mean(a, b, *, pair=None, out=None):
     """Y = G e^(tanh(y)/y - 1)."""
     pair = _pair(a, b, pair)
     out = _into(out, np.exp, _log_y_over_g(pair, out))
     out *= pair.g
     return _ret(_on_diagonal(pair, out), pair.scalar)
-
-
-def y_mean_direct(a, b):
-    """Defining route Y = G e^(L/A - 1)."""
-    pair = Pair(a, b)
-    ratio = logarithmic(a, b, pair=pair) / arithmetic(a, b, pair=pair)
-    return _ret(pair.g * np.exp(ratio - 1.0), pair.scalar)
 
 
 #: (weight, asymptote, p -> 0 divisor) of the power-type means; see
@@ -483,9 +443,12 @@ def _power_type_mean(tag, p, a, b, *, pair=None, out=None):
         name = "power mean" if tag == "Mp" else "Heronian"
         raise DomainError(f"{name} exponent must be finite")
     expo, anchor = _power_exponent(pair, p, *_POWER_TYPE[tag], out), pair.g
-    # where e^E overflows or G is subnormal, M = G e^E is hi e^(E - y): G = hi e^(-y)
-    far = (expo > _LOG_MAX) | (anchor < _TINY)
-    if far.any() if isinstance(far, np.ndarray) else far:  # any() costs 1.6 us on a scalar
+    # where e^E overflows or G is subnormal, M = G e^E is hi e^(E - y): G = hi e^(-y).
+    # The extremes tell whether any point is far, for less than the mask costs.
+    top = expo.max(initial=-math.inf) if isinstance(expo, np.ndarray) else expo
+    low = anchor.min(initial=math.inf) if isinstance(anchor, np.ndarray) else anchor
+    if top > _LOG_MAX or low < _TINY:
+        far = (expo > _LOG_MAX) | (anchor < _TINY)
         expo, anchor = np.where(far, expo - pair.y, expo), np.where(far, pair.hi, anchor)
     out = _into(out, np.exp, expo)
     out *= anchor

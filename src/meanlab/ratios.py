@@ -68,14 +68,6 @@ def ratio_eval(fn: RatioFn, x):
     return float(out) if xs.ndim == 0 else out
 
 
-def cusa_margin(x):
-    """(cos x + 2)/3 - sin(x)/x, rearranged so the O(x^4) value survives."""
-    xs = _check_open_interval(x)
-    s = series.xoversin_minus_one(xs)
-    out = s / (1.0 + s) - (2.0 / 3.0) * np.sin(0.5 * xs) ** 2
-    return float(out) if xs.ndim == 0 else out
-
-
 def cusa_aux_margin(x):
     """cusa_aux(x) - 2 = s^2 + 2 s - u with s = x/sin x - 1, u = 1 - x cot x."""
     xs = _check_open_interval(x)

@@ -18,14 +18,15 @@ import numpy as np
 from mpmath import mp
 
 import meanlab.means as M
-from meanlab import chains, ratios, series
+from meanlab import chains, ratios
 from meanlab.chains import GridSpec, builtin_suite, verify_chain
 from meanlab.cli import main
 from meanlab.expressions import evaluate
 from meanlab.ratios import RatioFn
-from meanlab.series import SeriesKind
 
 import oracles
+import references
+from references import SeriesKind
 
 
 def _criterion(n, name, ok, detail=""):
@@ -162,10 +163,10 @@ class TestAcceptance:
         a, b = np.concatenate([a1, a2]), np.concatenate([b1, b2])
         assert int(np.sum(np.abs(a - b) / (a + b) < 1e-5)) >= 100
         route_pairs = [
-            (M.logarithmic, M.logarithmic_param),
-            (M.seiffert, M.seiffert_param),
-            (M.x_mean_direct, M.x_mean),
-            (M.identric, M.identric_param),
+            (M.logarithmic, references.logarithmic_param),
+            (M.seiffert, references.seiffert_param),
+            (references.x_mean_direct, M.x_mean),
+            (M.identric, references.identric_param),
         ]
         worst_route = max(
             float(np.max(np.abs(d(a, b) - p(a, b)) / np.abs(p(a, b))))
@@ -183,7 +184,7 @@ class TestAcceptance:
         for kind, fn in direct.items():
             for x in np.linspace(0.01, math.pi / 2, 100):
                 ref = fn(float(x))
-                err = abs(series.series_eval(kind, float(x)) - ref) / max(1.0, abs(ref))
+                err = abs(references.series_eval(kind, float(x)) - ref) / max(1.0, abs(ref))
                 worst_series = max(worst_series, err)
         ok = worst_route < 1e-12 and worst_series < 1e-13
         _criterion(

@@ -13,7 +13,6 @@ from meanlab.chains import (
     bracket_best_exponent,
     builtin_suite,
     conjecture_scan,
-    get_chain,
     refined_ratios,
     sharpness_probe,
     verify_chain,
@@ -22,6 +21,7 @@ from meanlab.errors import ConfigError, DomainError, EvalError, NonMonotonePredi
 from meanlab.expressions import evaluate
 
 import oracles
+from references import get_chain
 
 # grids whose ratios, sliced anywhere, must be np.geomspace's bit for bit
 SIX_GRIDS = [(1e-15, 1e300), (1e-12, 1e15), (1e-6, 1e8), (0.1, 1e8), (1e-12, 1.0001), (1e-3, 1e3)]

@@ -16,7 +16,6 @@ from meanlab.expressions import (
     MeanSymbol,
     Num,
     cached_reads,
-    eval_expr,
     evaluate,
     fold,
     parse_expr,
@@ -25,6 +24,7 @@ from meanlab.expressions import (
 from meanlab.means import MeanKind, PositivePair
 
 import oracles
+from references import eval_expr
 
 
 def _ev(text, a=4.0, b=1.0):

