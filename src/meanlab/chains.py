@@ -31,7 +31,7 @@ from .errors import (
     NonMonotonePredicateError,
 )
 from .expressions import GridContext, MeanExpr, Workspace, cached_reads, parse_expr
-from .means import geometric, power_mean, power_mean_exponent
+from .means import Pair, geometric, power_mean, power_mean_exponent
 
 DEFAULT_MARGIN_GUARD = 1e-13
 
@@ -124,6 +124,14 @@ def _extra_ratios(r_max: float) -> np.ndarray:
     extra = np.unique(np.concatenate([near, far]))
     extra.flags.writeable = False
     return extra
+
+
+@lru_cache(maxsize=4)
+def _refined_points(grid: GridSpec) -> np.ndarray:
+    """The bracket's a values: the whole refined grid times b, read-only."""
+    a = refined_ratios(grid) * grid.b
+    a.flags.writeable = False
+    return a
 
 
 def refined_ratios(grid: GridSpec, lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -896,16 +904,38 @@ class _OrderTest:
     outside it, and orders where some point is not settled, take the exact
     predicate.  (numpy's float64 exp and log are taken to be within 4 ulp;
     against mpmath they measure under 1 ulp on 10 000 points each, with
-    numpy 2.4 on AVX-512.)"""
+    numpy 2.4 on AVX-512.)
+
+    decide holds an order where every hold - E_s clears 0 on the holding
+    side, and fails it where some fail - E_s is past 0 on the failing side;
+    hold lies on the holding side of fail at every point.  Two rules give
+    decide's verdict for fewer whole-grid passes of the kernel:
+      - the sign rule.  E_s has the sign of s, bit for bit: log1p of the
+        nonnegative weight sinh(p y/2)^2 is >= 0, the wide branch's
+        |p y| - asymptote is positive, and each is divided by p; the p -> 0
+        branch p y^2/divisor has the sign of p; E_0 = 0.  Rounding is
+        monotone, so line - E_s >= line where E_s <= 0 and <= line where
+        E_s >= 0.  On the lower side, then, every s <= 0 holds where
+        hold.min() > 0, and every s >= 0 fails where fail.min() < 0 (hold
+        <= fail < 0 at that point, so decide does not hold it first); on the
+        upper side every s <= 0 fails where fail.max() > 0 and every s >= 0
+        holds where hold.max() < 0.
+      - the witness.  The point that decide last found furthest past its
+        failing line is tried first, on a scalar Pair, where E_s has the
+        bits it has on the grid.  If it is a settled failure there, decide
+        fails the order: that point is past its hold line as well."""
 
     def __init__(self, expr, lower: bool, grid: GridSpec, margin_guard: float):
-        self.a, self.b = refined_ratios(grid) * grid.b, grid.b
+        self.a, self.b = _refined_points(grid), grid.b
         ctx = GridContext(self.a, self.b)
         self.tv = np.asarray(ctx.evaluate(expr))
         if np.any(~(self.tv > 0.0)):
             raise DomainError("target must evaluate positive on the grid")
         pair = self.pair = ctx.pair
         self.lower, self.guard, self.lines = lower, margin_guard, None
+        # the verdicts of every s <= 0 and every s >= 0 that the sign rule
+        # fixes, and the witness: its failing line and its scalar Pair
+        self.signed, self.witness = (None, None), None
         normal = pair.lo.min() >= 2.0**-1000 and pair.hi.max() <= 2.0**1000
         if not (normal and 0.0 <= margin_guard <= 0.5):
             return
@@ -927,6 +957,10 @@ class _OrderTest:
         t += slack
         self.lines = hold, t
         self.buffers = np.empty_like(t), slack
+        if lower:
+            self.signed = (True if hold.min() > 0.0 else None, False if t.min() < 0.0 else None)
+        else:
+            self.signed = (False if t.max() > 0.0 else None, True if hold.max() < 0.0 else None)
 
     def exact(self, s: float) -> bool:
         m = np.asarray(power_mean(self.a, self.b, s, pair=self.pair))
@@ -935,7 +969,8 @@ class _OrderTest:
 
     def decide(self, s: float) -> bool | None:
         """The predicate at order s where every point is settled in log
-        space, else None."""
+        space, else None.  A failing order makes its furthest failure the
+        witness."""
         if self.lines is None:
             return None
         hold, fail = self.lines
@@ -945,11 +980,24 @@ class _OrderTest:
         if held.min() > 0.0 if self.lower else held.max() < 0.0:
             return True
         missed = np.subtract(fail, e, out=gap)
-        if missed.min() < 0.0 if self.lower else missed.max() > 0.0:
+        # argmin and argmax pick a NaN first, and a NaN settles nothing
+        j = int(missed.argmin() if self.lower else missed.argmax())
+        if missed[j] < 0.0 if self.lower else missed[j] > 0.0:
+            self.witness = fail[j], Pair(self.a[j], self.b)
             return False
         return None
 
     def __call__(self, s: float) -> bool:
+        nonpositive, nonnegative = self.signed
+        if s <= 0.0 and nonpositive is not None:
+            return nonpositive
+        if s >= 0.0 and nonnegative is not None:
+            return nonnegative
+        if self.witness is not None:
+            line, pair = self.witness
+            missed = line - power_mean_exponent(pair.hi, pair.lo, s, pair=pair)
+            if missed < 0.0 if self.lower else missed > 0.0:
+                return False
         decided = self.decide(s)
         return self.exact(s) if decided is None else decided
 
@@ -966,7 +1014,14 @@ def bracket_best_exponent(
     side="lower": largest s with M_s < target everywhere on the refined grid
     (the relation holds for small s and breaks as s grows); side="upper":
     smallest s with target < M_s (holds for large s).  The returned estimate
-    sits on the holding side of a bracket of width <= tolerance.
+    sits on the holding side of a bracket of width <= tolerance, or of the
+    narrowest bracket that doubles can split, for a tolerance below their
+    spacing there.
+
+    The integer orders are tried from the holding end (ascending on the
+    lower side, descending on the upper), so that the first failing order,
+    the one nearest the critical order, picks the witness of _OrderTest;
+    they are reported in ascending order.
     """
     if side not in ("lower", "upper"):
         raise DomainError("side must be 'lower' or 'upper'")
@@ -977,7 +1032,8 @@ def bracket_best_exponent(
     holds = _OrderTest(expr, lower, grid or GridSpec(), margin_guard)
 
     steps = np.arange(BRACKET_SEARCH_RANGE[0], BRACKET_SEARCH_RANGE[1] + 1.0).tolist()
-    flags = [holds(s) for s in steps]
+    verdicts = {s: holds(s) for s in (steps if lower else steps[::-1])}
+    flags = [verdicts[s] for s in steps]
     if not any(flags):
         raise DomainError(
             f"no integer exponent in {BRACKET_SEARCH_RANGE} satisfies the {side} relation"
@@ -997,6 +1053,8 @@ def bracket_best_exponent(
     # invariant: lo is below the critical order and hi is not
     while abs(hi - lo) > tolerance:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent doubles
+            break
         if holds(mid) == lower:
             lo = mid
         else:

@@ -18,7 +18,8 @@ expansions.  The definitions here are what the tests hold those against:
   where B_2n are the even-indexed Bernoulli numbers (signed where the
   expansion alternates: the hyperbolic ones need B_2n = (-1)^(n+1) |B_2n|);
 * three small entry points: the Cusa margin, a typed-pair expression
-  evaluator and a chain lookup by id.
+  evaluator and a chain lookup by id;
+* the plain bracket: every order decided on the whole grid.
 
 They build on the library's own pieces (Pair, the series kernels, Horner
 evaluation and the Bernoulli recurrence), so a test that compares a route
@@ -36,9 +37,16 @@ from typing import Sequence
 import numpy as np
 
 from meanlab import series
-from meanlab.chains import InequalityChain, builtin_suite
-from meanlab.errors import DomainError, SeriesDomainError
-from meanlab.expressions import MeanExpr, evaluate
+from meanlab.chains import (
+    BRACKET_SEARCH_RANGE,
+    DEFAULT_MARGIN_GUARD,
+    GridSpec,
+    InequalityChain,
+    _OrderTest,
+    builtin_suite,
+)
+from meanlab.errors import DomainError, NonMonotonePredicateError, SeriesDomainError
+from meanlab.expressions import MeanExpr, evaluate, parse_expr
 from meanlab.means import (
     SERIES_T_THRESHOLD,
     Pair,
@@ -307,3 +315,50 @@ def get_chain(chain_id: str) -> InequalityChain:
         if c.id == chain_id:
             return c
     raise DomainError(f"unknown chain id {chain_id!r}")
+
+
+# ---------------------------------------------------------------------------
+# The plain bracket
+# ---------------------------------------------------------------------------
+
+
+def plain_bracket(target, side, tolerance, grid=None, margin_guard=DEFAULT_MARGIN_GUARD):
+    """chains.bracket_best_exponent with neither the sign rule nor the
+    witness: every order is decided on the whole grid, by
+    _OrderTest.decide and else _OrderTest.exact, and the integer orders are
+    tried in ascending order on both sides."""
+    if side not in ("lower", "upper"):
+        raise DomainError("side must be 'lower' or 'upper'")
+    if not (tolerance > 0.0 and math.isfinite(tolerance)):
+        raise DomainError("tolerance must be positive")
+    lower = side == "lower"
+    test = _OrderTest(parse_expr(target), lower, grid or GridSpec(), margin_guard)
+
+    def holds(s):
+        decided = test.decide(s)
+        return test.exact(s) if decided is None else decided
+
+    steps = np.arange(BRACKET_SEARCH_RANGE[0], BRACKET_SEARCH_RANGE[1] + 1.0).tolist()
+    flags = [holds(s) for s in steps]
+    if not any(flags):
+        raise DomainError(
+            f"no integer exponent in {BRACKET_SEARCH_RANGE} satisfies the {side} relation"
+        )
+    if all(flags):
+        raise DomainError(f"the {side} relation never breaks inside {BRACKET_SEARCH_RANGE}")
+    below = flags if lower else [not f for f in flags]
+    if below != sorted(below, reverse=True):
+        raise NonMonotonePredicateError(
+            f"predicate not monotone over integer scan {steps}: {flags}"
+        )
+    k = below.count(True)
+    lo, hi = steps[k - 1], steps[k]
+    while abs(hi - lo) > tolerance:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if holds(mid) == lower:
+            lo = mid
+        else:
+            hi = mid
+    return lo if lower else hi

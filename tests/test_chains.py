@@ -21,7 +21,7 @@ from meanlab.errors import ConfigError, DomainError, EvalError, NonMonotonePredi
 from meanlab.expressions import evaluate
 
 import oracles
-from references import get_chain
+from references import get_chain, plain_bracket
 
 # grids whose ratios, sliced anywhere, must be np.geomspace's bit for bit
 SIX_GRIDS = [(1e-15, 1e300), (1e-12, 1e15), (1e-6, 1e8), (0.1, 1e8), (1e-12, 1.0001), (1e-3, 1e3)]
@@ -787,6 +787,65 @@ class TestBracketing:
         monkeypatch.setattr(chains, "power_mean_exponent", unsettled)
         assert bracket_best_exponent("X", "lower", 1e-3, margin_guard=guard) == got
         assert len(exact_orders) > 17
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_a_tolerance_below_the_spacing_of_doubles_ends(self, side):
+        # once lo and hi are adjacent doubles their midpoint rounds to one of
+        # them: the bracket stops there, on the holding end
+        got = bracket_best_exponent("X", side, 1e-300)
+        holds = chains._OrderTest(chains.parse_expr("X"), side == "lower", GridSpec(), 1e-13)
+        beyond = math.nextafter(got, math.inf if side == "lower" else -math.inf)
+        assert holds(got) and not holds(beyond)
+        assert got == plain_bracket("X", side, 1e-300)
+
+    @pytest.mark.parametrize("guard", [1e-13, 0.0])
+    @pytest.mark.parametrize(
+        "grid",
+        [GridSpec(), GridSpec(r_min=1e-3, r_max=1e3, n=500), GridSpec(n=300, b=1e-305)],
+        ids=["default", "narrow", "tiny-b"],
+    )
+    def test_same_brackets_as_the_plain_reference(self, grid, guard):
+        # the sign rule and the witness skip kernel passes, never change a
+        # verdict: the same value, or the same exception and text
+        def outcome(bracket, target, side):
+            try:
+                return bracket(target, side, 1e-6, grid, guard)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        for target in ("X", "P", "I", "(P+X)/2", "A", "G", "H", "Mp[0.25]", "Hp[0.5]",
+                       "H/2", "2*A"):
+            for side in ("lower", "upper"):
+                got = outcome(bracket_best_exponent, target, side)
+                assert got == outcome(plain_bracket, target, side), (target, side)
+
+    # whole-grid kernel passes per bracket_sweep case at tolerance 1e-6
+    WHOLE_GRID_PASSES = {
+        ("X", "lower"): 20, ("X", "upper"): 18,
+        ("P", "lower"): 10, ("P", "upper"): 28,
+        ("I", "lower"): 20, ("I", "upper"): 20,
+        ("(P+X)/2", "lower"): 8, ("(P+X)/2", "upper"): 23,
+    }
+
+    def test_kernel_passes_per_bracket(self, monkeypatch):
+        real = chains.power_mean_exponent
+        calls = []  # (points, order) of each kernel call
+
+        def counting(a, b, p, **kw):
+            calls.append((np.size(a), p))
+            return real(a, b, p, **kw)
+
+        monkeypatch.setattr(chains, "power_mean_exponent", counting)
+        for (target, side), passes in self.WHOLE_GRID_PASSES.items():
+            calls.clear()
+            bracket_best_exponent(target, side, 1e-6)
+            assert sum(n > 1 for n, _ in calls) == passes, (target, side)
+            if target == "X":  # the sign rule decides every order <= 0
+                assert all(p > 0.0 for _, p in calls), side
+            # every order on the whole grid: 17 integer orders, 20 bisections
+            calls.clear()
+            plain_bracket(target, side, 1e-6)
+            assert sum(n > 1 for n, _ in calls) == len(calls) == 37, (target, side)
 
 
 class TestConjecture:

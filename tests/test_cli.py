@@ -391,6 +391,13 @@ class TestBracketAndLimit:
         assert abs(lower - 0.5) < 1e-3
         assert lower < upper < oracles.K_EXPONENT + 1e-3
 
+    def test_bracket_tolerance_below_the_spacing_of_doubles(self, run):
+        # the bisection stops at adjacent doubles instead of looping
+        rc, out, _ = run("bracket", "X", "1e-300")
+        assert rc == 0
+        lower, upper = (float(line.split(":")[1]) for line in out.splitlines()[:2])
+        assert abs(lower - 1.0 / 3.0) < 1e-3 and abs(upper - oracles.Q_EXPONENT) < 1e-3
+
     def test_bracket_parse_error(self, run):
         assert run("bracket", "(P+", "1e-4")[0] == 2
 

@@ -335,6 +335,24 @@ class TestPowerTypeAndExponentialMeansOverTheFullRange:
                     error = abs(mpmath.mpf(value) - ref)
                     assert error <= 1e-12 * ref + 2.0**-1074, (kernel, p, a, b, value)
 
+    # both sides of 0 in each branch: p -> 0 (|p| < POWER_LIMIT_THRESHOLD),
+    # log1p(2 sinh(p y/2)^2)/p, and |p y| > 700 at the larger ratios
+    SIGNED_ORDERS = tuple(
+        sign * p for p in (0.0, 1e-12, M.POWER_LIMIT_THRESHOLD, 0.5, 8.0, 1e4) for sign in (1.0, -1.0)
+    )
+
+    @pytest.mark.parametrize("p", SIGNED_ORDERS)
+    def test_power_exponent_has_the_sign_of_the_order(self, p):
+        # the bracket fixes the verdicts of every order of one sign from this
+        ratios = np.array(oracles.FULL_RANGE)
+        exponents = [*(M.power_mean_exponent(r, 1.0, p) for r in ratios),
+                     *M.power_mean_exponent(ratios, 1.0, p),
+                     *M.power_mean_exponent(1.0 / ratios, 1.0, p)]
+        if p <= 0.0:
+            assert all(e <= 0.0 for e in exponents), (p, exponents)
+        if p >= 0.0:
+            assert all(e >= 0.0 for e in exponents), (p, exponents)
+
 
 class TestDualRoutes:
     def _pairs_with_tiny_band(self):
