@@ -43,16 +43,17 @@ BRACKET_SEARCH_RANGE = (-8.0, 8.0)
 
 _EPS = float(np.finfo(float).eps)
 
-#: Grid points per chunk, at most (a chunk of the refined grid adds the extra
-#: points in its range).  Each chunk is evaluated on its own context, whose
-#: arrays are buffers of the chunk's size lent by its worker's workspace: the
-#: pairs' quantities, each mean until the last member that reads it is
-#: dropped, each member's values until its last link, and the margins.  On
-#: the chain suite a worker allocates 23 of them, 9 MB at 50 000 points and
-#: well past a core's L2 cache.  The workspace allocates them once per
-#: stage, so their pages are faulted in once per worker and stage, not once
-#: per chunk.  Memory grows with the chunk size and the core count, not the
-#: grid.
+#: Grid points per chunk, at most (the refined grid's extra points are one
+#: more chunk, of at most 200).  Each chunk is evaluated on its own context,
+#: whose arrays are buffers of the chunk's size lent by its worker's
+#: workspace: the pairs' quantities, each mean until the last member that
+#: reads it is dropped, each member's values until its last link, and the
+#: margins.  On verify's stage, the chain suite and the tightened probes
+#: together, a worker allocates 23 of them, as on the chain suite alone:
+#: 9 MB at 50 000 points and well past a core's L2 cache.  The workspace
+#: allocates them once per stage, so their pages are faulted in once per
+#: worker and stage, not once per chunk.  Memory grows with the chunk size
+#: and the core count, not the grid.
 CHUNK_POINTS = 1 << 16
 
 _NC = _ratios_mod.named_constants()
@@ -119,6 +120,8 @@ class GridSpec:
 @lru_cache(maxsize=16)
 def _extra_ratios(r_max: float) -> np.ndarray:
     """The refined grid's 100 + 100 extra points, sorted and each once."""
+    if not math.isfinite(r_max * 1e4):
+        raise ConfigError(f"refined grid needs finite r_max*1e4; r_max = {r_max!r}")
     near = np.geomspace(1.0 + 1e-12, 1.0 + 1e-6, 100, endpoint=False)
     far = np.geomspace(r_max, r_max * 1e4, 100)
     extra = np.unique(np.concatenate([near, far]))
@@ -134,35 +137,10 @@ def _refined_points(grid: GridSpec) -> np.ndarray:
     return a
 
 
-def refined_ratios(grid: GridSpec, lo: int = 0, hi: int | None = None) -> np.ndarray:
+def refined_ratios(grid: GridSpec) -> np.ndarray:
     """The grid plus 100 extra points hugging each asymptotic end, sorted and
-    deduplicated.  With an index range, the chunk of it that grid ratios
-    lo..hi-1 own: their own values and the extra points from the first of
-    them up to the next chunk's first ratio, so the chunks of consecutive
-    ranges concatenate to the whole refined grid."""
-    hi = grid.n if hi is None else hi
-    if not math.isfinite(grid.r_max * 1e4):
-        raise ConfigError(f"refined grid needs finite r_max*1e4; r_max = {grid.r_max!r}")
-    extra = _extra_ratios(grid.r_max)
-    r = grid.ratios_slice(lo, hi)
-    if lo > 0:
-        extra = extra[extra >= r[0]]
-    if hi < grid.n:
-        end = grid.ratios_slice(hi, hi + 1)[0]
-        extra = extra[extra < end]
-        r = r[r < end]  # a repeat of the next chunk's first ratio is its own
-    # np.unique of both, without sorting the grid: its ratios ascend, so the
-    # sorted extra points are merged in where they are not already there
-    steps = np.diff(r)
-    least = steps.min() if steps.size else 1.0
-    if not least >= 0.0:  # ratios out of order: np.unique sorts them
-        return np.unique(np.concatenate([extra, r]))
-    if least == 0.0:
-        r = r[np.r_[True, steps > 0.0]]  # a repeated ratio once
-    at = np.searchsorted(r, extra)
-    new = at == r.size
-    new[~new] = r[at[~new]] != extra[~new]
-    return np.insert(r, at[new], extra[new])
+    deduplicated."""
+    return np.unique(np.concatenate([_extra_ratios(grid.r_max), grid.ratios()]))
 
 
 @dataclass(frozen=True)
@@ -322,31 +300,35 @@ class _LinkPlan:
         for kind, step in last_read.items():
             self.uncache[step].append(kind)
 
-    def scan(self, ratios: np.ndarray, b, workspace: Workspace):
+    def scan(self, ratios: np.ndarray, b, workspace: Workspace, links=None):
         """Over the pairs (ratios*b, b): per link, (min margin, ratio at the
-        first argmin, rhs - lhs there), or None where a member raised; and
-        the EvalError each failing member raised, by member slot: at its
-        first failing node's first bad pair.  Every chunk-sized array of the
-        scan is lent by the workspace and given back by the end."""
+        first argmin, rhs - lhs there), or None where a member raised or the
+        link is not scanned; and the EvalError each failing member raised,
+        by member slot: at its first failing node's first bad pair.  links:
+        the link slots to scan, and so the members to evaluate; all of them
+        by default.  Every chunk-sized array of the scan is lent by the
+        workspace and given back by the end."""
         out = [None] * len(self.links)
         errors = {}
         if not ratios.size:
             return out, errors
+        wanted = None if links is None else {s for k in links for s in self.links[k]}
         n = ratios.size
         a = np.multiply(ratios, b, out=workspace.take(n))
         values, clean = {}, {}
         with GridContext(a, b, workspace=workspace) as ctx:
             for s, member in enumerate(self.members):
                 try:
-                    values[s] = v = np.asarray(ctx.evaluate(member))
-                    clean[s] = v.min() > 0.0 and v.max() < math.inf
+                    if wanted is None or s in wanted:
+                        values[s] = v = np.asarray(ctx.evaluate(member))
+                        clean[s] = v.min() > 0.0 and v.max() < math.inf
                 except EvalError as exc:
                     # kept without its traceback, whose frames would hold the
                     # scan's arrays for as long as the error is kept
                     errors[s] = exc.with_traceback(None)
                 for k in self.ready[s]:
                     l, r = self.links[k]
-                    if l in values and r in values:
+                    if l in values and r in values and (links is None or k in links):
                         lhs, rhs = values[l], values[r]
                         j, margin = _link_minimum(lhs, rhs, clean[l] and clean[r], workspace)
                         # as Python floats, two infinities subtract without a warning
@@ -366,17 +348,22 @@ def _worker_count(chunks: int) -> int:
     return min(chunks, cores)
 
 
-def _map_chunks(run, n: int):
-    """Yield run(lo, hi) for the chunks [lo, hi) of range(n), in order.
-
-    At most CHUNK_POINTS points each, the chunks come in a multiple of the
-    worker count and hold ceil(n / count) points each, so every worker gets
-    the same share.  Several chunks run on a thread pool; the kernels spend
-    their time in numpy, which releases the GIL."""
+def _chunk_bounds(n: int):
+    """The chunks [lo, hi) of range(n), and the worker count.  At most
+    CHUNK_POINTS points each, the chunks come in a multiple of the worker
+    count and hold ceil(n / count) points each, so every worker gets the
+    same share."""
     chunks = -(-n // CHUNK_POINTS)
     workers = _worker_count(chunks)
     size = -(-n // (workers * -(-chunks // workers)))
-    bounds = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)], workers
+
+
+def _map_chunks(run, n: int):
+    """Yield run(lo, hi) for the chunks [lo, hi) of range(n), in order.
+    Several chunks run on a thread pool; the kernels spend their time in
+    numpy, which releases the GIL."""
+    bounds, workers = _chunk_bounds(n)
     if workers < 2:
         for lo, hi in bounds:
             yield run(lo, hi)
@@ -415,50 +402,69 @@ def _first_error(members, points, b) -> EvalError:
     raise AssertionError("members that failed on their chunks pass on the error points")
 
 
-def _grid_link_minima(member_lists, n: int, ratios_of, b) -> list:
+def _list_minima(member_lists, rows, minima, failed, b) -> list:
+    """Per member list, with its plan row, the records of its links, or the
+    EvalError it raises on the points at which its members raised."""
+    out = []
+    for members, (ms, ls) in zip(member_lists, rows):
+        points = set().union(*(failed.get(s, ()) for s in ms))
+        out.append(_first_error(members, points, b) if points else [minima[k] for k in ls])
+    return out
+
+
+def _grid_link_minima(member_lists, grid: GridSpec, refined_lists=()):
     """For each member list, (min margin, ratio there, rhs - lhs there) per
-    link over the pairs (ratios_of(0, n)*b, b), or the EvalError evaluating
-    the list over them raises.  Streamed, failing lists too: each chunk
-    [lo, hi) evaluates ratios_of(lo, hi) alone, the links merge chunk by
-    chunk with a first argmin, and a failing list's error is found from the
-    errors its members raised on the chunks."""
-    plan = _LinkPlan(member_lists)
+    link over the grid's pairs (ratios*b, b), or the EvalError evaluating the
+    list over them raises; and the same for each refined list over the
+    refined grid's pairs.
+
+    One stage, streamed, failing lists too: each grid chunk [lo, hi)
+    evaluates grid.ratios_slice(lo, hi) alone for both kinds of list, and
+    the extra points of the refined grid form one more chunk (pieces no
+    larger than a grid chunk, where the grid's chunks are smaller), on which
+    only the refined lists are evaluated.  A link merges chunk by chunk, in
+    grid order, with a first argmin; a refined link then merges with its
+    record on the extra points, which is the first argmin over the sorted
+    refined grid: a NaN margin first, then the least margin, then the least
+    ratio (an extra point equal to a grid ratio gives the same bits).  A
+    failing list's error is found from the errors its members raised on the
+    chunks; the member lists' records and errors are taken before the extra
+    points are scanned, so they come from the grid alone."""
+    extra = _extra_ratios(grid.r_max) if refined_lists else np.empty(0)
+    plan = _LinkPlan([*member_lists, *refined_lists])
+    plain_rows, refined_rows = plan.rows[: len(member_lists)], plan.rows[len(member_lists) :]
     best = [None] * len(plan.links)
     failed = {}  # member slot -> the a at which it raised, on each chunk it raised on
     workspaces = threading.local()  # one per worker, dropped with the stage
 
-    def run(lo, hi):
+    def scan(ratios, links=None):
         workspace = getattr(workspaces, "workspace", None)
         if workspace is None:
             workspace = workspaces.workspace = Workspace()
-        return plan.scan(ratios_of(lo, hi), b, workspace)
+        return plan.scan(ratios, grid.b, workspace, links)
 
-    for links, errors in _map_chunks(run, n):
-        best = [_first_min(pair) for pair in zip(best, links)]
+    def note(errors):
         for s, exc in errors.items():
             failed.setdefault(s, set()).add(exc.pair[0])
-    out = []
-    for members, (ms, ls) in zip(member_lists, plan.rows):
-        points = set().union(*(failed.get(s, ()) for s in ms))
-        out.append(_first_error(members, points, b) if points else [best[k] for k in ls])
-    return out
+
+    for links, errors in _map_chunks(lambda lo, hi: scan(grid.ratios_slice(lo, hi)), grid.n):
+        best = [_first_min(pair) for pair in zip(best, links)]
+        note(errors)
+    plain = _list_minima(member_lists, plain_rows, best, failed, grid.b)
+    refined_links = {k for _, ls in refined_rows for k in ls}
+    bounds, _ = _chunk_bounds(grid.n)
+    size = bounds[0][1]  # the largest grid chunk: the workspaces' buffers hold it
+    for lo in range(0, extra.size, size):
+        links, errors = scan(extra[lo : lo + size], refined_links)
+        note(errors)
+        for k in refined_links:  # the record of the lesser ratio first
+            parts = sorted((p for p in (best[k], links[k]) if p is not None), key=lambda p: p[1])
+            best[k] = _first_min(parts)
+    return plain, _list_minima(refined_lists, refined_rows, best, failed, grid.b)
 
 
-def verify_chains(
-    chains,
-    grid: GridSpec | None = None,
-    margin_guard: float = DEFAULT_MARGIN_GUARD,
-) -> list[ChainReport]:
-    """Evaluate every adjacent link of each chain on the grid; a chain passes
-    iff all its margins clear the guard.  The grid is streamed: each chunk
-    builds its own ratios and one context that all chains share, and
-    evaluates each distinct member and scans each distinct link once.
-    Deterministic: the report does not depend on the chunking or the thread
-    count."""
-    grid = grid or GridSpec()
-    chains = list(chains)
+def _chain_reports(chains, minima, grid: GridSpec, margin_guard: float) -> list[ChainReport]:
     described = grid.describe()
-    minima = _grid_link_minima([c.members for c in chains], grid.n, grid.ratios_slice, grid.b)
     reports = []
     for chain, links in zip(chains, minima):
         if isinstance(links, EvalError):
@@ -472,6 +478,20 @@ def verify_chains(
         passed = all(l.min_margin > margin_guard for l in link_reports)
         reports.append(ChainReport(chain.id, link_reports, passed, described, margin_guard))
     return reports
+
+
+def verify_chains(
+    chains,
+    grid: GridSpec | None = None,
+    margin_guard: float = DEFAULT_MARGIN_GUARD,
+) -> list[ChainReport]:
+    """Evaluate every adjacent link of each chain on the grid; a chain passes
+    iff all its margins clear the guard.  The grid is streamed: each chunk
+    builds its own ratios and one context that all chains share, and
+    evaluates each distinct member and scans each distinct link once.
+    Deterministic: the report does not depend on the chunking or the thread
+    count.  This is verify_and_probe's stage with no probes."""
+    return _verify_stage(list(chains), [], PROBE_EPSILON, grid or GridSpec(), margin_guard)[0]
 
 
 def verify_chain(
@@ -801,11 +821,7 @@ class ProbeOutcome:
         return row
 
 
-def _run_probes(templates, epsilon: float, grid: GridSpec):
-    tightened = [tpl.build(tpl.nominal + tpl.tighten_sign * epsilon).members for tpl in templates]
-    minima = _grid_link_minima(
-        tightened, grid.n, lambda lo, hi: refined_ratios(grid, lo, hi), grid.b
-    )
+def _probe_outcomes(templates, epsilon: float, grid: GridSpec, minima) -> list[ProbeOutcome]:
     outcomes = []
     for tpl, links in zip(templates, minima):
         head = (tpl.chain_id, tpl.constant, tpl.direction, epsilon)
@@ -820,6 +836,33 @@ def _run_probes(templates, epsilon: float, grid: GridSpec):
         pair = (float(worst_ratio * grid.b), float(grid.b)) if violated else None
         outcomes.append(ProbeOutcome(*head, violated, pair, worst))
     return outcomes
+
+
+def _verify_stage(chains, templates, epsilon: float, grid: GridSpec, margin_guard: float):
+    """The chains' reports on the grid and the templates' probe outcomes,
+    each constant tightened by epsilon, on the refined grid: one pass."""
+    tightened = [tpl.build(tpl.nominal + tpl.tighten_sign * epsilon).members for tpl in templates]
+    chain_minima, probe_minima = _grid_link_minima([c.members for c in chains], grid, tightened)
+    return (
+        _chain_reports(chains, chain_minima, grid, margin_guard),
+        _probe_outcomes(templates, epsilon, grid, probe_minima),
+    )
+
+
+def verify_and_probe(
+    chains,
+    grid: GridSpec | None = None,
+    margin_guard: float = DEFAULT_MARGIN_GUARD,
+) -> tuple[list[ChainReport], list[ProbeOutcome]]:
+    """verify_chains(chains, grid, margin_guard) and sharpness_probes(grid)
+    in one pass over the grid.  Each grid chunk gets one context, on which
+    each distinct member of the chains and of the tightened probe chains is
+    evaluated once and each distinct link scanned once; the refined grid's
+    extra points form one more chunk, on which only the probe chains are
+    evaluated.  The results are those of the two calls, bit for bit."""
+    return _verify_stage(
+        list(chains), list(_TEMPLATES.values()), PROBE_EPSILON, grid or GridSpec(), margin_guard
+    )
 
 
 def sharpness_probe(
@@ -859,15 +902,17 @@ def sharpness_probe(
             f"constant {constant!r} of {chain_id} is a {tpl.side}-side constant;"
             f" use {tpl.direction}"
         )
-    return _run_probes([tpl], epsilon, grid or GridSpec())[0]
+    return _verify_stage([], [tpl], epsilon, grid or GridSpec(), DEFAULT_MARGIN_GUARD)[1][0]
 
 
 def sharpness_probes(grid: GridSpec | None = None) -> list[ProbeOutcome]:
     """sharpness_probe for every template, in registry order, tightening
     each constant by PROBE_EPSILON.  The refined grid is streamed like the
-    chain stage's: each chunk of the grid, with the extra points in its
-    range, gets one context that all probes share."""
-    return _run_probes(list(_TEMPLATES.values()), PROBE_EPSILON, grid or GridSpec())
+    chain stage's: each grid chunk gets one context that all probes share,
+    and the refined grid's extra points form one more chunk.  This is
+    verify_and_probe's stage with no chains."""
+    templates = list(_TEMPLATES.values())
+    return _verify_stage([], templates, PROBE_EPSILON, grid or GridSpec(), DEFAULT_MARGIN_GUARD)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1022,6 +1067,13 @@ def bracket_best_exponent(
     lower side, descending on the upper), so that the first failing order,
     the one nearest the critical order, picks the witness of _OrderTest;
     they are reported in ascending order.
+
+    margin_guard=0 nearly always raises "no integer exponent ... satisfies":
+    on the refined grid's near points, a/b from 1 + 1e-12 to 1 + 1e-6, M_s
+    and the target round to the same double at some point for every order
+    (at a/b = 1 + 1e-12 for each integer s in [-8, 8] against X), so the
+    margin there is 0 and 0 > -0 fails.  The cause is the resolution of
+    the arithmetic, not the relation; a positive guard accepts those ties.
     """
     if side not in ("lower", "upper"):
         raise DomainError("side must be 'lower' or 'upper'")
@@ -1091,7 +1143,7 @@ def conjecture_scan(grid: GridSpec | None = None) -> ConjectureReport:
     grid is streamed in chunks, like the chain stage's."""
     grid = grid or GridSpec()
     px_expr, il_expr = conjecture_margin_expr()
-    [links] = _grid_link_minima([(il_expr, px_expr)], grid.n, grid.ratios_slice, grid.b)
+    [links], _ = _grid_link_minima([(il_expr, px_expr)], grid)
     if isinstance(links, EvalError):
         raise links
     [(m, ratio, difference)] = links

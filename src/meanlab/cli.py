@@ -3,15 +3,17 @@ registry, recover sharp constants, emit plot tables, and bracket exponents.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
 I/O error.  Reports are deterministic: identical configuration yields byte
-identical output.  Verification, the sharpness probes and the conjecture scan
-stream the grid: each chunk of at most chains.CHUNK_POINTS points builds its
-own ratios and mean values, and no stage holds a whole-grid array, not even
-where chains or probes raise (their errors come from the chunks' error
-points).  The chunk count is a multiple of the core count, with chunks equal
-to within one point, and the chunks run on a thread per core when there are
-several.  A chunk evaluates each distinct member of the selected chains once
-and scans each distinct link once.  The report does not depend on the
-chunking or the thread count.
+identical output.  Verification with its sharpness probes, and the
+conjecture scan, stream the grid: each chunk of at most chains.CHUNK_POINTS
+points builds its own ratios and mean values, and no stage holds a
+whole-grid array, not even where chains or probes raise (their errors come
+from the chunks' error points).  The chunk count is a multiple of the core
+count, with chunks equal to within one point, and the chunks run on a
+thread per core when there are several.  verify is one pass: a chunk
+evaluates each distinct member of the selected chains and of the tightened
+probe chains once and scans each distinct link once, and the refined grid's
+extra points are one more chunk, for the probes alone.  The report does not
+depend on the chunking or the thread count.
 """
 
 from __future__ import annotations
@@ -80,9 +82,9 @@ def _cmd_verify(args) -> int:
     if not (0.0 < guard < 1e-6):
         raise ConfigError("margin guard must lie in (0, 1e-6)")
     selected = _selected_chains(args)
-    reports = chains.verify_chains(selected, grid, margin_guard=guard)
+    reports, probes = chains.verify_and_probe(selected, grid, margin_guard=guard)
     constants = ratios.constant_recovery()
-    sharpness = [o.as_dict() for o in chains.sharpness_probes(grid)]
+    sharpness = [o.as_dict() for o in probes]
     chains_pass = all(r.passed for r in reports)
     constants_pass = all(row["abs_error"] < 1e-6 for row in constants)
     overall = chains_pass and constants_pass

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import sys
@@ -6,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from meanlab import chains
+from meanlab import chains, means
 from meanlab.chains import (
     GridSpec,
     InequalityChain,
@@ -195,6 +196,27 @@ class TestVerifyChain:
             assert {(o.chain_id, o.constant): o.error for o in probes} == probe_errors
 
 
+def _whole_grid_minima(member_lists, ratios, b):
+    """Per member list, (min margin, ratio there) per link from evaluate over
+    all of the pairs (ratios*b, b) and np.argmin of _rel_margins, or the
+    message of the EvalError evaluating the list raises."""
+    a = ratios * b
+    out = []
+    for members in member_lists:
+        error = _whole_grid_error(members, a, b)
+        if error is not None:
+            out.append(error)
+            continue
+        values = [np.asarray(evaluate(m, a, b)) for m in members]
+        links = []
+        for lhs, rhs in zip(values, values[1:]):
+            margins = chains._rel_margins(lhs, rhs)
+            j = int(np.argmin(margins))
+            links.append((float(margins[j]), float(ratios[j])))
+        out.append(links)
+    return out
+
+
 def _whole_grid_error(members, a, b):
     """The message of the EvalError evaluating members one after another over
     the pairs (a, b) raises, or None."""
@@ -228,6 +250,101 @@ class TestChunkedScan:
                 got, index = chains._first_min(parts)
                 assert index == j, (margins, bounds)
                 assert got == margins[j] or (math.isnan(got) and math.isnan(margins[j]))
+
+    @pytest.mark.parametrize(
+        "grid, chunkings",
+        [
+            (GridSpec(n=2000), (7, 97, 65536)),
+            (GridSpec(r_min=1e-12, n=2000), (7, 97, 65536)),  # the near points interleave
+            (GridSpec(r_max=1e300, n=2000), (7, 97, 65536)),  # chains and probes raise
+            # 54 968 ratios repeat the one before; 7- or 97-point chunks
+            # would take about 75 s or 5 s a run on this grid
+            (GridSpec(r_min=1e-15, r_max=1.00000000001, n=100_000), (4999, 65536)),
+        ],
+    )
+    def test_one_stage_equals_the_whole_grid_reference(self, monkeypatch, grid, chunkings):
+        # chain links over the grid and probe links over the sorted, deduplicated
+        # refined grid, each from one evaluation of the whole of it: every
+        # link's margin and ratio, and every report, outcome and error text
+        suite = builtin_suite()
+        guard = chains.DEFAULT_MARGIN_GUARD
+        templates = list(chains._TEMPLATES.values())
+        tightened = [tpl.build(tpl.nominal + tpl.tighten_sign * 1e-3).members for tpl in templates]
+        ref_chains = _whole_grid_minima([c.members for c in suite], grid.ratios(), grid.b)
+        ref_probes = _whole_grid_minima(tightened, refined_ratios(grid), grid.b)
+        expected_chains = []
+        for chain, links in zip(suite, ref_chains):
+            if isinstance(links, str):
+                expected_chains.append(
+                    chains.ChainReport(chain.id, (), False, grid.describe(), guard, links)
+                )
+                continue
+            texts = chain.member_texts
+            reports = tuple(
+                chains.LinkReport(lhs, rhs, m, r) for lhs, rhs, (m, r) in zip(texts, texts[1:], links)
+            )
+            passed = all(m > guard for m, _ in links)
+            expected_chains.append(chains.ChainReport(chain.id, reports, passed, grid.describe(), guard))
+        expected_probes = []
+        for tpl, links in zip(templates, ref_probes):
+            head = (tpl.chain_id, tpl.constant, tpl.direction, 1e-3)
+            if isinstance(links, str):
+                expected_probes.append(chains.ProbeOutcome(*head, False, None, None, links))
+                continue
+            worst, ratio = min(((m, r) for m, r in links if not math.isnan(m)), key=lambda p: p[0])
+            violated = worst < -guard
+            pair = (ratio * grid.b, grid.b) if violated else None
+            expected_probes.append(chains.ProbeOutcome(*head, violated, pair, worst))
+        if grid.r_max == 1e300:
+            assert any(o.error for o in expected_probes) and any(r.error for r in expected_chains)
+
+        def records(minima):
+            return [
+                str(links) if isinstance(links, EvalError) else [(m, r) for m, r, _ in links]
+                for links in minima
+            ]
+
+        # json keeps -0.0 apart from 0.0 and writes NaN, so equal texts are equal bits
+        expected = json.dumps(
+            [ref_chains, ref_probes, [r.as_dict() for r in expected_chains],
+             [o.as_dict() for o in expected_probes]]
+        )
+        stage = chains._grid_link_minima
+        seen = []
+        monkeypatch.setattr(chains, "_grid_link_minima", lambda *args: seen.append(stage(*args)) or seen[-1])
+        # 7-point chunks cost about 10 ms each, so they run with 4 workers only
+        runs = [(c, w) for c in chunkings for w in (1, 4) if c > 7 or w > 1]
+        for chunk_points, workers in runs:
+            monkeypatch.setattr(chains, "CHUNK_POINTS", chunk_points)
+            monkeypatch.setattr(chains, "_worker_count", lambda chunks: min(chunks, workers))
+            reports, probes = chains.verify_and_probe(suite, grid)
+            got_chains, got_probes = seen.pop()
+            got = json.dumps(
+                [records(got_chains), records(got_probes), [r.as_dict() for r in reports],
+                 [o.as_dict() for o in probes]]
+            )
+            assert got == expected, (chunk_points, workers)
+
+    @pytest.mark.parametrize("r_min", [1e-6, 1e-15])
+    def test_refined_ties_go_to_the_least_ratio(self, monkeypatch, r_min):
+        # A < 2*A has the margin 0.5 at every point: the refined grid's first
+        # argmin is its least ratio, an extra point at r_min = 1e-6 and a
+        # grid ratio at 1e-15, below the extra points
+        lists = [tuple(chains.parse_expr(t) for t in texts) for texts in (("A", "2*A"), ("G", "A"))]
+        grid = GridSpec(r_min=r_min, n=2000)
+        expected = _whole_grid_minima(lists, grid.ratios(), grid.b), _whole_grid_minima(
+            lists, refined_ratios(grid), grid.b
+        )
+        first = refined_ratios(grid)[0]
+        assert expected[1][0] == [(0.5, first)]
+        assert (first == grid.ratios()[0]) == (r_min < 1e-12)
+        for chunk_points in (7, 97, 65536):
+            for workers in (1, 4):
+                monkeypatch.setattr(chains, "CHUNK_POINTS", chunk_points)
+                monkeypatch.setattr(chains, "_worker_count", lambda chunks: min(chunks, workers))
+                plain, refined = chains._grid_link_minima(lists, grid, lists)
+                got = [[[(m, r) for m, r, _ in links] for links in side] for side in (plain, refined)]
+                assert tuple(got) == expected, (chunk_points, workers)
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="Linux only")
     def test_one_worker_per_core_and_none_idle(self):
@@ -327,10 +444,17 @@ class TestChunkedScan:
         assert sizes(5, 2, 2) == [2, 2, 1]
 
     def test_each_distinct_member_and_link_once_per_chunk(self, monkeypatch):
-        # the suite's 36 chains share members and links; a chunk evaluates
-        # each distinct member once and scans each distinct link once
+        # the suite's 36 chains share members and links, and the tightened
+        # probe chains share some of theirs; a grid chunk evaluates each
+        # distinct member of both once and scans each distinct link once,
+        # the chunk of the refined grid's extra points those of the probes
+        # alone, and each chunk builds one Pair
         suite = builtin_suite()
-        evaluated, scanned, current = [], [], {}
+        tightened = [
+            tpl.build(tpl.nominal + tpl.tighten_sign * chains.PROBE_EPSILON).members
+            for tpl in chains._TEMPLATES.values()
+        ]
+        evaluated, scanned, paired, current = [], [], [], {}
 
         class CountingContext(chains.GridContext):
             def __init__(self, a, b, **kwargs):
@@ -344,27 +468,47 @@ class TestChunkedScan:
                 current[id(out)] = expr
                 return out
 
+        class CountingPair(chains.Pair):
+            def __init__(self, a, b, **kwargs):
+                if not np.ndim(b):  # a context's pair, not a nested mean's
+                    paired.append(len(evaluated) - 1)
+                super().__init__(a, b, **kwargs)
+
         original = chains._link_minimum
 
         def counting_scan(lhs, rhs, *args):
             scanned[-1][current[id(lhs)], current[id(rhs)]] += 1
             return original(lhs, rhs, *args)
 
+        def distinct(lists):
+            members = {m for ms in lists for m in ms}
+            return Counter(members), Counter({link for ms in lists for link in zip(ms, ms[1:])})
+
         monkeypatch.setattr(chains, "GridContext", CountingContext)
+        monkeypatch.setattr(means, "Pair", CountingPair)
         monkeypatch.setattr(chains, "_link_minimum", counting_scan)
         monkeypatch.setattr(chains, "CHUNK_POINTS", 300)
         monkeypatch.setattr(chains, "_worker_count", lambda chunks: 1)  # unlocked counters
-        expected = chains.verify_chains(suite, GridSpec(r_min=0.1, n=1000))
-        members = {m for c in suite for m in c.members}
-        links = {link for c in suite for link in zip(c.members, c.members[1:])}
+        grid = GridSpec(r_min=0.1, n=1000)
+        expected = chains.verify_chains(suite, grid)
+        chain_lists = [c.members for c in suite]
         assert len(evaluated) == 4
         for members_seen, links_seen in zip(evaluated, scanned):
-            assert members_seen == Counter(members)
-            assert links_seen == Counter(links)
-        assert sum(len(c.members) for c in suite) > len(members)
-        assert sum(len(c.members) - 1 for c in suite) > len(links)
+            assert (members_seen, links_seen) == distinct(chain_lists)
+        assert sum(len(c.members) for c in suite) > len(distinct(chain_lists)[0])
+        assert sum(len(c.members) - 1 for c in suite) > len(distinct(chain_lists)[1])
+
+        del evaluated[:], scanned[:], paired[:]
+        both = chains.verify_and_probe(suite, grid)
+        assert len(evaluated) == 5  # 4 grid chunks of 250 points, then the extra points
+        for members_seen, links_seen in zip(evaluated[:4], scanned):
+            assert (members_seen, links_seen) == distinct(chain_lists + tightened)
+        assert (evaluated[4], scanned[4]) == distinct(tightened)
+        assert paired == list(range(5))
+        assert distinct(chain_lists)[0] & distinct(tightened)[0]  # members that both read
         monkeypatch.undo()
-        assert chains.verify_chains(suite, GridSpec(r_min=0.1, n=1000)) == expected
+        assert chains.verify_chains(suite, grid) == expected
+        assert both == (expected, chains.sharpness_probes(grid))
 
 
 class _CountingWorkspace(chains.Workspace):
@@ -406,8 +550,8 @@ class TestWorkspaceReuse:
         monkeypatch.setattr(chains, "_worker_count", lambda chunks: 1)
         original = chains._LinkPlan.scan
 
-        def scan(plan, ratios, b, workspace):
-            result = original(plan, ratios, b, workspace)
+        def scan(plan, ratios, b, workspace, *links):
+            result = original(plan, ratios, b, workspace, *links)
             assert workspace.outstanding() == 0
             return result
 
@@ -420,6 +564,7 @@ class TestWorkspaceReuse:
             lambda: chains.verify_chains(builtin_suite(), grid),
             lambda: chains.sharpness_probes(grid),
             lambda: chains.conjecture_scan(grid),
+            lambda: chains.verify_and_probe(builtin_suite(), grid),
         )
         builtin_suite()
         allocated = {}
@@ -489,24 +634,17 @@ class TestWorkspaceReuse:
         # for as long as the error is kept
         chain = InequalityChain("bad", ("log(A - 2*G)", "A"), "fails near a = b")
         grid = GridSpec(r_min=0.1, n=600)
-        [error] = chains._grid_link_minima([chain.members], grid.n, grid.ratios_slice, grid.b)
+        [error], _ = chains._grid_link_minima([chain.members], grid)
         assert isinstance(error, chains.EvalError)
         assert error.__traceback__ is None
 
 
-def _refined_by_unique(grid, lo, hi):
-    """refined_ratios(grid, lo, hi) as np.unique of the chunk's ratios and
-    the extra points in its range."""
+def _refined_by_unique(grid):
+    """refined_ratios(grid) as np.unique of the grid's ratios and the extra
+    points."""
     near = np.geomspace(1.0 + 1e-12, 1.0 + 1e-6, 100, endpoint=False)
     far = np.geomspace(grid.r_max, grid.r_max * 1e4, 100)
-    extra = np.concatenate([near, far])
-    r = grid.ratios_slice(lo, hi)
-    if lo > 0:
-        extra = extra[extra >= r[0]]
-    if hi < grid.n:
-        end = grid.ratios_slice(hi, hi + 1)[0]
-        extra, r = extra[extra < end], r[r < end]
-    return np.unique(np.concatenate([extra, r]))
+    return np.unique(np.concatenate([near, far, grid.ratios()]))
 
 
 class TestGridSpec:
@@ -545,11 +683,8 @@ class TestGridSpec:
     )
     def test_refined_ratios_are_np_unique_of_the_ratios(self, r_min, r_max, n):
         grid = GridSpec(r_min=r_min, r_max=r_max, n=n)
-        bounds = [(0, n), (0, 1), (1, 2), (0, n // 3), (n // 3, 2 * n // 3), (n - 2, n - 1)]
-        bounds += [(n - 1, n), *((lo, min(lo + 7, n)) for lo in range(0, min(n, 60), 7))]
-        for lo, hi in bounds:
-            got, expected = refined_ratios(grid, lo, hi), _refined_by_unique(grid, lo, hi)
-            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (lo, hi)
+        got, expected = refined_ratios(grid), _refined_by_unique(grid)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_refined_ratios_sort_ratios_out_of_order(self, monkeypatch):
         grid = GridSpec(n=500)
@@ -589,11 +724,6 @@ class TestGridSpec:
         far = np.geomspace(grid.r_max, grid.r_max * 1e4, 100)
         expected = np.unique(np.concatenate([near, grid.ratios(), far]))
         assert np.array_equal(refined_ratios(grid), expected)
-        for size in (7, 300, 4096, 10_000):
-            parts = [refined_ratios(grid, lo, min(lo + size, grid.n)) for lo in range(0, grid.n, size)]
-            assert np.array_equal(np.concatenate(parts), expected), size
-        singles = [refined_ratios(grid, i, i + 1) for i in range(50)]
-        assert np.array_equal(np.concatenate([*singles, refined_ratios(grid, 50)]), expected)
 
 
 class TestSharpness:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from meanlab import chains, means, ratios
-from meanlab.chains import GridSpec, builtin_suite, refined_ratios
+from meanlab.chains import GridSpec, builtin_suite
 from meanlab.cli import main
 
 import oracles
@@ -277,10 +277,11 @@ class TestSharedGridContext:
         assert nested == Counter({("L", 2000): len(nested_texts)})
 
     def test_each_mean_computed_once_per_chunk(self, monkeypatch, tmp_path):
-        # 2000 chain-stage points in 4 chunks of 500; a refined chunk is a grid
-        # chunk plus the extra points in its range.  Every kernel call sees
-        # one chunk, and each chunk's context computes a mean once however
-        # many chains use it (one worker: the counters are not locked)
+        # 2000 grid points in 4 chunks of 500, on which the chains and the
+        # probes are evaluated, and one chunk of the refined grid's 200 extra
+        # points, for the probes alone.  Every kernel call sees one chunk,
+        # and each chunk's context computes a mean once however many chains
+        # and probes use it (one worker: the counters are not locked)
         chunked(monkeypatch, 512, 1)
         builtin_suite()  # its sanity check's context is not part of the count
         calls = Counter()
@@ -315,7 +316,7 @@ class TestSharedGridContext:
         grid = GridSpec(r_min=0.1, n=2000)
         bounds = chunk_bounds(2000, 512)
         contexts = [hi - lo for lo, hi in bounds]
-        contexts += [refined_ratios(grid, lo, hi).size for lo, hi in bounds]
+        contexts.append(chains._extra_ratios(grid.r_max).size)
         g_sizes = sorted(size for kind, size, _ in calls if kind == "G")
         assert g_sizes == sorted(contexts)
         # one validated pair per chunk context, shared by all its kernels, and
@@ -324,7 +325,7 @@ class TestSharedGridContext:
         nested = len(nested_texts) * len(chunk_bounds(2000, 512))
         assert Counter(ndim for ndim, _ in pairs) == Counter({0: len(contexts), 1: nested})
 
-    @pytest.mark.parametrize("chunk_points, pools", [(1 << 16, 0), (512, 2)])
+    @pytest.mark.parametrize("chunk_points, pools", [(1 << 16, 0), (512, 1)])
     def test_thread_pool_only_for_several_chunks(self, monkeypatch, tmp_path, chunk_points, pools):
         import concurrent.futures
 
@@ -339,7 +340,7 @@ class TestSharedGridContext:
         chunked(monkeypatch, chunk_points, 4)
         out = tmp_path / "report.json"
         assert main(["verify", "--grid-min", "0.1", "--points", "2000", "--out", str(out)]) == 0
-        assert len(created) == pools  # one each for the chain and the probe stage
+        assert len(created) == pools  # one for the stage of chains and probes
 
 
 class TestEmit:

@@ -1,0 +1,59 @@
+"""Run the byte-identity set of meanlab commands and write each one's
+stdout, stderr and exit code under OUTDIR, so that two versions of the
+package compare with one ``diff -r``:
+
+    PYTHONPATH=src python tools/cmp_set.py OUTDIR
+
+The commands run in-process through ``meanlab.cli.main``, imported from
+whatever ``PYTHONPATH`` names; point it at another checkout's ``src`` to
+write that version's set.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+from meanlab import cli
+
+#: file stem -> meanlab arguments
+COMMANDS = {
+    "verify-2000": ["verify", "--points", "2000"],
+    "verify-default": ["verify"],
+    "verify-min0.1-300k": ["verify", "--grid-min", "0.1", "--points", "300000"],
+    "verify-min1e-12-max1e15-300k": [
+        "verify", "--grid-min", "1e-12", "--grid-max", "1e15", "--points", "300000",
+    ],
+    # every probe raises (invalid operand) on this grid's far points
+    "verify-max1e300-100": ["verify", "--grid-max", "1e300", "--points", "100"],
+    # 54 968 of the 100 000 ratios repeat the one before
+    "verify-repeated-100k": [
+        "verify", "--grid-min", "1e-15", "--grid-max", "1.00000000001", "--points", "100000",
+    ],
+    "verify-T21a": ["verify", "--chains", "T21a"],
+    "conjecture-default": ["conjecture"],
+    "bracket-X-1e-9": ["bracket", "X", "1e-9"],
+}
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: cmp_set.py OUTDIR", file=sys.stderr)
+        return 2
+    outdir = Path(args[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    for stem, command in COMMANDS.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(command)
+        (outdir / f"{stem}.stdout").write_text(out.getvalue(), encoding="utf-8")
+        (outdir / f"{stem}.stderr").write_text(err.getvalue(), encoding="utf-8")
+        (outdir / f"{stem}.exit").write_text(f"{code}\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
