@@ -20,6 +20,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,6 +136,17 @@ def _refined_points(grid: GridSpec) -> np.ndarray:
     a = refined_ratios(grid) * grid.b
     a.flags.writeable = False
     return a
+
+
+@lru_cache(maxsize=4)
+def _refined_pair(grid: GridSpec) -> Pair | None:
+    """The prepared Pair of the bracket's refined grid, which every search on
+    the grid reads; None where some a overflows, so that the search's own
+    context raises where and what it raised without one."""
+    try:
+        return Pair(_refined_points(grid), grid.b).prepared()
+    except DomainError:
+        return None
 
 
 def refined_ratios(grid: GridSpec) -> np.ndarray:
@@ -420,27 +432,32 @@ def _grid_link_minima(member_lists, grid: GridSpec, refined_lists=()):
 
     One stage, streamed, failing lists too: each grid chunk [lo, hi)
     evaluates grid.ratios_slice(lo, hi) alone for both kinds of list, and
-    the extra points of the refined grid form one more chunk (pieces no
-    larger than a grid chunk, where the grid's chunks are smaller), on which
-    only the refined lists are evaluated.  A link merges chunk by chunk, in
-    grid order, with a first argmin; a refined link then merges with its
-    record on the extra points, which is the first argmin over the sorted
-    refined grid: a NaN margin first, then the least margin, then the least
-    ratio (an extra point equal to a grid ratio gives the same bits).  A
-    failing list's error is found from the errors its members raised on the
-    chunks; the member lists' records and errors are taken before the extra
-    points are scanned, so they come from the grid alone."""
+    the extra points of the refined grid form one more chunk, on which only
+    the refined lists are evaluated (where it is the larger, each workspace
+    is sized for it from its first chunk, so that its buffers never grow).
+    A link merges chunk by chunk, in grid order, with a first argmin; a
+    refined link then merges with its record on the extra points, which is
+    the first argmin over the sorted refined grid: a NaN margin first, then
+    the least margin, then the least ratio (an extra point equal to a grid
+    ratio gives the same bits).  A failing list's error is found from the
+    errors its members raised on the chunks; the member lists' records and
+    errors are taken before the extra points are scanned, so they come from
+    the grid alone."""
     extra = _extra_ratios(grid.r_max) if refined_lists else np.empty(0)
     plan = _LinkPlan([*member_lists, *refined_lists])
     plain_rows, refined_rows = plan.rows[: len(member_lists)], plan.rows[len(member_lists) :]
     best = [None] * len(plan.links)
     failed = {}  # member slot -> the a at which it raised, on each chunk it raised on
     workspaces = threading.local()  # one per worker, dropped with the stage
+    bounds, _ = _chunk_bounds(grid.n)
+    size = bounds[0][1]  # the largest grid chunk
 
     def scan(ratios, links=None):
         workspace = getattr(workspaces, "workspace", None)
         if workspace is None:
             workspace = workspaces.workspace = Workspace()
+            if size < extra.size:  # sized for the extra points, so that they do not regrow it
+                workspace.give(workspace.take(extra.size))
         return plan.scan(ratios, grid.b, workspace, links)
 
     def note(errors):
@@ -451,11 +468,9 @@ def _grid_link_minima(member_lists, grid: GridSpec, refined_lists=()):
         best = [_first_min(pair) for pair in zip(best, links)]
         note(errors)
     plain = _list_minima(member_lists, plain_rows, best, failed, grid.b)
-    refined_links = {k for _, ls in refined_rows for k in ls}
-    bounds, _ = _chunk_bounds(grid.n)
-    size = bounds[0][1]  # the largest grid chunk: the workspaces' buffers hold it
-    for lo in range(0, extra.size, size):
-        links, errors = scan(extra[lo : lo + size], refined_links)
+    if extra.size:
+        refined_links = {k for _, ls in refined_rows for k in ls}
+        links, errors = scan(extra, refined_links)
         note(errors)
         for k in refined_links:  # the record of the lesser ratio first
             parts = sorted((p for p in (best[k], links[k]) if p is not None), key=lambda p: p[1])
@@ -924,6 +939,23 @@ def sharpness_probes(grid: GridSpec | None = None) -> list[ProbeOutcome]:
 #: than _LOG_SLACK EPS (1 + |T|); see _OrderTest.
 _LOG_SLACK = 16.0
 
+#: The computed log(M_s/G) is within _E_BOUND EPS y of the exact one at
+#: every order s; see _OrderTest.
+_E_BOUND = 16.0
+
+
+class _Points(NamedTuple):
+    """Points of the refined grid that an order is decided on: their
+    indices (None for the whole grid), a, Pair and lines, and two buffers."""
+
+    index: np.ndarray | None
+    a: np.ndarray
+    pair: Pair
+    hold: np.ndarray
+    fail: np.ndarray
+    e: np.ndarray
+    gap: np.ndarray
+
 
 class _OrderTest:
     """The bracket's predicate: whether M_s lies on the holding side of the
@@ -947,13 +979,13 @@ class _OrderTest:
     its line by twice that, _LOG_SLACK EPS (1 + |T|).  The model needs M_s,
     which lies in [lo, hi], and tv/G to be normal doubles; grids and guards
     outside it, and orders where some point is not settled, take the exact
-    predicate.  (numpy's float64 exp and log are taken to be within 4 ulp;
-    against mpmath they measure under 1 ulp on 10 000 points each, with
-    numpy 2.4 on AVX-512.)
+    predicate.  (numpy's float64 exp, log, sinh and log1p are taken to be
+    within 4 ulp; against mpmath they measure under 1 ulp on 10 000 points
+    each, with numpy 2.4 on AVX-512.)
 
     decide holds an order where every hold - E_s clears 0 on the holding
     side, and fails it where some fail - E_s is past 0 on the failing side;
-    hold lies on the holding side of fail at every point.  Two rules give
+    hold lies on the holding side of fail at every point.  Three rules give
     decide's verdict for fewer whole-grid passes of the kernel:
       - the sign rule.  E_s has the sign of s, bit for bit: log1p of the
         nonnegative weight sinh(p y/2)^2 is >= 0, the wide branch's
@@ -968,19 +1000,55 @@ class _OrderTest:
       - the witness.  The point that decide last found furthest past its
         failing line is tried first, on a scalar Pair, where E_s has the
         bits it has on the grid.  If it is a settled failure there, decide
-        fails the order: that point is past its hold line as well."""
+        fails the order: that point is past its hold line as well.
+      - the failing set.  At a point of the pair's y, log(M_s/G) is exactly
+        log(cosh(s y))/s, which rises with s, and the computed E_s is within
+        13.5 EPS y of it at every order, in each branch of
+        power_mean_exponent (y <= 1000 log 2 inside the model):
+          - |s y| <= 700: z = (s/2) y carries one rounding, which sinh(z)
+            amplifies by z coth z and the square doubles; log1p(w) of
+            w = 2 sinh(z)^2 scales an error of w by w/(1 + w), and
+            (w/(1 + w)) coth z = tanh 2z <= 1, which leaves 0.5 EPS y after
+            the division by s.  sinh, the square and the product add 8.5 EPS
+            relative to w, at most 8.5 EPS |E_s| after log1p (w/(1 + w) <=
+            log1p(w)); log1p and the division add 4.5 EPS |E_s|; and
+            |E_s| <= y, since M_s lies in [lo, hi].
+          - |s y| > 700: (|s y| - log 2)/s drops log1p(e^(-2|s y|)), below
+            e^-1400, and its three roundings add under 2 EPS y (|s| > 1).
+          - |s| < POWER_LIMIT_THRESHOLD: s y^2/2 is log(cosh(s y))/s to
+            within |s|^3 y^4/12 <= 0.13 EPS y, and its rounding is far less.
+        So at every order s on the holding side of an order f (s < f on
+        the lower side, s > f on the upper), E_s lies at most 27 EPS y past
+        E_f toward the failing side.  A point where the computed hold - E_f
+        clears 0 on the holding side by more than 2 _E_BOUND EPS y = 32 EPS y
+        (the 5 to spare cover the second-order terms and the rounding of
+        hold - E_f) is then settled held at every such s.  Once a bisection
+        midpoint f fails, the points not settled held at f so, in grid order
+        and with NaN points kept, hold every point that can fail or stay
+        unsettled at the later midpoints, which all lie on f's holding side
+        (each failing midpoint becomes the bracket's new end).  decide on
+        them alone gives the whole grid's verdict, its None and its witness
+        (the first failing argmin), since a Pair of their a gives E_s bit
+        for bit as on the whole grid: each of its steps is elementwise.
+        Each midpoint that fails on the set narrows it.  A set of more than
+        half the grid is not kept, since gathering it would save little.
+        The integer scan stays on the whole grid: its non-monotone check is
+        what would catch a predicate that breaks the rule, and a set would
+        hide it."""
 
     def __init__(self, expr, lower: bool, grid: GridSpec, margin_guard: float):
         self.a, self.b = _refined_points(grid), grid.b
-        ctx = GridContext(self.a, self.b)
+        ctx = GridContext(self.a, self.b, pair=_refined_pair(grid))
         self.tv = np.asarray(ctx.evaluate(expr))
         if np.any(~(self.tv > 0.0)):
             raise DomainError("target must evaluate positive on the grid")
         pair = self.pair = ctx.pair
-        self.lower, self.guard, self.lines = lower, margin_guard, None
+        self.lower, self.guard = lower, margin_guard
         # the verdicts of every s <= 0 and every s >= 0 that the sign rule
-        # fixes, and the witness: its failing line and its scalar Pair
+        # fixes, the witness (its failing line and its scalar Pair), and the
+        # points decided on: the whole grid, and the failing set
         self.signed, self.witness = (None, None), None
+        self.whole = self.failing = None
         normal = pair.lo.min() >= 2.0**-1000 and pair.hi.max() <= 2.0**1000
         if not (normal and 0.0 <= margin_guard <= 0.5):
             return
@@ -1000,8 +1068,7 @@ class _OrderTest:
         t -= sign * math.log1p(-margin_guard)
         hold = t - slack
         t += slack
-        self.lines = hold, t
-        self.buffers = np.empty_like(t), slack
+        self.whole = _Points(None, self.a, pair, hold, t, np.empty_like(t), slack)
         if lower:
             self.signed = (True if hold.min() > 0.0 else None, False if t.min() < 0.0 else None)
         else:
@@ -1016,23 +1083,48 @@ class _OrderTest:
         """The predicate at order s where every point is settled in log
         space, else None.  A failing order makes its furthest failure the
         witness."""
-        if self.lines is None:
+        return self._decide(s, self.whole)
+
+    def _decide(self, s: float, points: _Points | None, narrow: bool = False) -> bool | None:
+        """decide on the points, which hold every point that can fail or
+        stay unsettled at s; narrow: a failing s makes the failing set."""
+        if points is None:
             return None
-        hold, fail = self.lines
-        e, gap = self.buffers
-        e = power_mean_exponent(self.a, self.b, s, pair=self.pair, out=e)
-        held = np.subtract(hold, e, out=gap)  # NaN settles nothing
+        e = power_mean_exponent(points.a, self.b, s, pair=points.pair, out=points.e)
+        held = np.subtract(points.hold, e, out=points.gap)  # NaN settles nothing
         if held.min() > 0.0 if self.lower else held.max() < 0.0:
             return True
-        missed = np.subtract(fail, e, out=gap)
+        missed = np.subtract(points.fail, e, out=points.gap)
         # argmin and argmax pick a NaN first, and a NaN settles nothing
         j = int(missed.argmin() if self.lower else missed.argmax())
-        if missed[j] < 0.0 if self.lower else missed[j] > 0.0:
-            self.witness = fail[j], Pair(self.a[j], self.b)
-            return False
-        return None
+        if not (missed[j] < 0.0 if self.lower else missed[j] > 0.0):
+            return None
+        line = points.fail[j]
+        if points.index is not None:
+            j = int(points.index[j])
+        self.witness = line, Pair(self.a[j], self.b)
+        if narrow:
+            self._narrow(points, e)
+        return False
 
-    def __call__(self, s: float) -> bool:
+    def _narrow(self, points: _Points, e) -> None:
+        """After an order failed on the points, with E there: the failing
+        set, of the points not settled held by more than 2 _E_BOUND EPS y."""
+        held = np.subtract(points.hold, e, out=points.gap)
+        cut = points.pair.y * ((1.0 if self.lower else -1.0) * 2.0 * _E_BOUND * _EPS)
+        keep = np.flatnonzero(~(held > cut) if self.lower else ~(held < cut))
+        if 2 * keep.size > self.a.size:
+            return
+        index = keep if points.index is None else points.index[keep]
+        a = self.a[index]
+        self.failing = _Points(
+            index, a, Pair(a, self.b), points.hold[keep], points.fail[keep],
+            np.empty_like(a), np.empty_like(a),
+        )
+
+    def __call__(self, s: float, midpoint: bool = False) -> bool:
+        """The predicate at order s.  midpoint: s is a bisection midpoint,
+        decided on the failing set once there is one."""
         nonpositive, nonnegative = self.signed
         if s <= 0.0 and nonpositive is not None:
             return nonpositive
@@ -1043,7 +1135,8 @@ class _OrderTest:
             missed = line - power_mean_exponent(pair.hi, pair.lo, s, pair=pair)
             if missed < 0.0 if self.lower else missed > 0.0:
                 return False
-        decided = self.decide(s)
+        points = (self.failing or self.whole) if midpoint else self.whole
+        decided = self._decide(s, points, narrow=midpoint)
         return self.exact(s) if decided is None else decided
 
 
@@ -1107,7 +1200,7 @@ def bracket_best_exponent(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # lo and hi are adjacent doubles
             break
-        if holds(mid) == lower:
+        if holds(mid, midpoint=True) == lower:
             lo = mid
         else:
             hi = mid

@@ -306,12 +306,15 @@ class GridContext:
     arrays, and each is given back once: a node result that evaluate
     returned by ``release``, a cached mean by ``forget``, and whatever is
     still held by ``close`` (or on leaving a ``with`` block).
+
+    With ``pair``, a prepared ``means.Pair(a, b)`` (:meth:`means.Pair.prepared`),
+    the context reads it instead of building its own.
     """
 
-    def __init__(self, a, b, workspace: Workspace | None = None):
+    def __init__(self, a, b, workspace: Workspace | None = None, pair: means.Pair | None = None):
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
-        self._pair = None
+        self._pair = pair
         self._cache: dict[MeanKind, np.ndarray] = {}
         self._workspace = workspace
         if workspace is not None:

@@ -181,7 +181,12 @@ class Pair:
 
     ``alloc``, for array pairs: a function returning a fresh float64 buffer
     of the pairs' shape, into which the pair writes hi, lo and every cached
-    quantity but ``eq``; the caller owns those buffers."""
+    quantity but ``eq``; the caller owns those buffers.
+
+    A prepared pair (:meth:`prepared`) has every quantity computed and every
+    array read-only: kernels only read a pair's arrays, so one prepared pair
+    serves any number of callers, on any threads, and a write into it
+    raises."""
 
     _alloc = None
 
@@ -200,6 +205,17 @@ class Pair:
         self._alloc = alloc
         self.hi = np.maximum(aa, bb, out=alloc and alloc())
         self.lo = np.minimum(aa, bb, out=alloc and alloc())
+
+    def prepared(self) -> "Pair":
+        """This array pair with every quantity computed now and every array
+        made read-only."""
+        for name, attr in vars(Pair).items():
+            if isinstance(attr, _cached):
+                getattr(self, name)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return self
 
     @_cached
     def eq(self):

@@ -4,6 +4,7 @@ import os
 import sys
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -931,51 +932,137 @@ class TestBracketing:
     @pytest.mark.parametrize("guard", [1e-13, 0.0])
     @pytest.mark.parametrize(
         "grid",
-        [GridSpec(), GridSpec(r_min=1e-3, r_max=1e3, n=500), GridSpec(n=300, b=1e-305)],
-        ids=["default", "narrow", "tiny-b"],
+        [
+            GridSpec(),
+            GridSpec(r_min=1e-3, r_max=1e3, n=500),
+            GridSpec(n=300, b=1e-305),
+            GridSpec(r_min=1e-9, r_max=1e4, n=3000),
+            GridSpec(r_min=0.1, r_max=1e12, n=5000),
+            GridSpec(r_max=1e300, n=2000),  # the integer orders take the wide branch
+        ],
+        ids=["default", "narrow", "tiny-b", "near", "far", "wide"],
     )
     def test_same_brackets_as_the_plain_reference(self, grid, guard):
-        # the sign rule and the witness skip kernel passes, never change a
-        # verdict: the same value, or the same exception and text
-        def outcome(bracket, target, side):
+        # the sign rule, the witness and the failing set skip kernel passes,
+        # never change a verdict: the same value, or the same exception and
+        # text
+        def outcome(bracket, target, side, tolerance):
             try:
-                return bracket(target, side, 1e-6, grid, guard)
+                return bracket(target, side, tolerance, grid, guard)
             except Exception as exc:
                 return type(exc), str(exc)
 
         for target in ("X", "P", "I", "(P+X)/2", "A", "G", "H", "Mp[0.25]", "Hp[0.5]",
                        "H/2", "2*A"):
             for side in ("lower", "upper"):
-                got = outcome(bracket_best_exponent, target, side)
-                assert got == outcome(plain_bracket, target, side), (target, side)
+                for tolerance in (1e-6, 1e-9, 1e-15):
+                    got = outcome(bracket_best_exponent, target, side, tolerance)
+                    expected = outcome(plain_bracket, target, side, tolerance)
+                    assert got == expected, (target, side, tolerance)
 
-    # whole-grid kernel passes per bracket_sweep case at tolerance 1e-6
-    WHOLE_GRID_PASSES = {
-        ("X", "lower"): 20, ("X", "upper"): 18,
-        ("P", "lower"): 10, ("P", "upper"): 28,
-        ("I", "lower"): 20, ("I", "upper"): 20,
-        ("(P+X)/2", "lower"): 8, ("(P+X)/2", "upper"): 23,
+    @pytest.mark.parametrize(
+        "grid",
+        [GridSpec(), GridSpec(r_min=1e-9, r_max=1e4, n=3000), GridSpec(r_max=1e296, n=2000)],
+        ids=["default", "near", "wide"],
+    )
+    def test_a_failing_set_decides_as_the_whole_grid(self, monkeypatch, grid):
+        # every midpoint decided on a failing set gets the whole grid's
+        # verdict and witness; the midpoints of G*(X/G)^3e-9 take the p -> 0
+        # branch
+        real = chains._OrderTest._decide
+        verdicts = Counter()
+
+        def witness(test):
+            return None if test.witness is None else (test.witness[0], float(test.witness[1].hi))
+
+        def checking(test, s, points, narrow=False):
+            got = real(test, s, points, narrow)
+            if points is not None and points.index is not None:
+                on_set = witness(test)
+                assert real(test, s, test.whole) == got, s
+                assert witness(test) == on_set, s
+                verdicts[got] += 1
+            return got
+
+        monkeypatch.setattr(chains._OrderTest, "_decide", checking)
+        for target in ("X", "P", "I", "(P+X)/2", "G*(X/G)^0.000000003", "(Mp[3] + Mp[4])/2"):
+            for side in ("lower", "upper"):
+                bracket_best_exponent(target, side, 1e-15, grid)
+        assert verdicts[True] and verdicts[False], verdicts
+
+    def test_the_exponents_error_bound(self):
+        # _OrderTest's failing set rests on |computed E_s - log(cosh(s y))/s|
+        # <= 13.5 EPS y, at every order and in each branch: p -> 0 below
+        # 1e-8, wide where |s y| > 700, for y = log(h) from 5e-13 to 998 log 2
+        h = np.geomspace(1.0 + 5e-13, 2.0**998, 300)
+        pair = means.Pair(h, 1.0 / h)
+        for s in (-8.0, -3.5, -1e-8, -3e-9, 0.0, 3e-9, 1e-8, 1.5e-8, 0.34375, 2.75, 8.0):
+            got = means.power_mean_exponent(pair.hi, pair.lo, s, pair=pair)
+            with mpmath.workdps(100):
+                for e, y in zip(got, pair.y):
+                    exact = mpmath.log(mpmath.cosh(s * mpmath.mpf(y))) / s if s else 0
+                    assert abs(e - exact) <= 13.5 * chains._EPS * y, (s, y)
+
+    @pytest.mark.parametrize("r_max", [1e8, 1e12, 1e296])
+    def test_a_subset_pair_gives_the_grids_exponents(self, r_max):
+        # a failing set's Pair gives E_s bit for bit as gathered from the
+        # whole grid, in every branch (wide: |s| y > 700 on the 1e296 grid)
+        a = chains._refined_points(GridSpec(r_max=r_max))
+        pair = chains._refined_pair(GridSpec(r_max=r_max))
+        rng = np.random.default_rng(int(math.log10(r_max)))
+        for s in (-8.0, -3e-9, 1e-8, 0.34375, 3.4375):
+            whole = means.power_mean_exponent(a, 1.0, s, pair=pair)
+            for _ in range(20):
+                index = np.sort(rng.choice(a.size, rng.integers(1, a.size // 2), replace=False))
+                sub = means.power_mean_exponent(a[index], 1.0, s, pair=means.Pair(a[index], 1.0))
+                assert np.array_equal(sub, whole[index]), s
+
+    def test_searches_on_a_grid_share_one_prepared_pair(self):
+        grid = GridSpec(n=500)
+        pair = chains._OrderTest(chains.parse_expr("X"), True, grid, 1e-13).pair
+        assert chains._OrderTest(chains.parse_expr("P"), False, grid, 1e-13).pair is pair
+        arrays = {k: v for k, v in vars(pair).items() if isinstance(v, np.ndarray)}
+        assert {"hi", "lo", "eq", "t", "g", "y", "x", "log_g", "xc", "w"} <= arrays.keys()
+        before = {k: v.copy() for k, v in arrays.items()}
+        for target in ("X", "P", "I", "(P+X)/2", "G", "Mp[3.5]"):
+            for side in ("lower", "upper"):
+                bracket_best_exponent(target, side, 1e-9, grid)
+        for k, v in arrays.items():
+            assert not v.flags.writeable, k
+            assert np.array_equal(v, before[k]), k
+        with pytest.raises(ValueError):
+            pair.y[0] = 0.0
+
+    # kernel passes per bracket_sweep case at tolerance 1e-6: on the whole
+    # refined grid, and on failing sets
+    KERNEL_PASSES = {
+        ("X", "lower"): (3, 17), ("X", "upper"): (18, 0),
+        ("P", "lower"): (10, 0), ("P", "upper"): (11, 17),
+        ("I", "lower"): (4, 16), ("I", "upper"): (20, 0),
+        ("(P+X)/2", "lower"): (3, 5), ("(P+X)/2", "upper"): (21, 2),
     }
 
     def test_kernel_passes_per_bracket(self, monkeypatch):
         real = chains.power_mean_exponent
         calls = []  # (points, order) of each kernel call
+        whole = refined_ratios(GridSpec()).size
 
         def counting(a, b, p, **kw):
             calls.append((np.size(a), p))
             return real(a, b, p, **kw)
 
         monkeypatch.setattr(chains, "power_mean_exponent", counting)
-        for (target, side), passes in self.WHOLE_GRID_PASSES.items():
+        for (target, side), passes in self.KERNEL_PASSES.items():
             calls.clear()
             bracket_best_exponent(target, side, 1e-6)
-            assert sum(n > 1 for n, _ in calls) == passes, (target, side)
+            got = sum(n == whole for n, _ in calls), sum(1 < n < whole for n, _ in calls)
+            assert got == passes, (target, side)
             if target == "X":  # the sign rule decides every order <= 0
                 assert all(p > 0.0 for _, p in calls), side
             # every order on the whole grid: 17 integer orders, 20 bisections
             calls.clear()
             plain_bracket(target, side, 1e-6)
-            assert sum(n > 1 for n, _ in calls) == len(calls) == 37, (target, side)
+            assert sum(n == whole for n, _ in calls) == len(calls) == 37, (target, side)
 
 
 class TestConjecture:

@@ -35,6 +35,14 @@ COMMANDS = {
     "verify-T21a": ["verify", "--chains", "T21a"],
     "conjecture-default": ["conjecture"],
     "bracket-X-1e-9": ["bracket", "X", "1e-9"],
+    "bracket-X-1e-6": ["bracket", "X", "1e-6"],
+    "bracket-P-1e-6": ["bracket", "P", "1e-6"],
+    "bracket-I-1e-6": ["bracket", "I", "1e-6"],
+    "bracket-PX-1e-6": ["bracket", "(P+X)/2", "1e-6"],
+    "bracket-X-1e-15": ["bracket", "X", "1e-15"],
+    # grids smaller than the refined grid's 200 extra points
+    "verify-2": ["verify", "--points", "2"],
+    "verify-10": ["verify", "--points", "10"],
 }
 
 
