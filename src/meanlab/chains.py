@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
@@ -31,7 +30,7 @@ from .errors import (
     EvalError,
     NonMonotonePredicateError,
 )
-from .expressions import GridContext, MeanExpr, Workspace, cached_reads, parse_expr
+from .expressions import GridContext, MeanExpr, cached_reads, parse_expr
 from .means import Pair, geometric, power_mean, power_mean_exponent
 
 DEFAULT_MARGIN_GUARD = 1e-13
@@ -46,15 +45,14 @@ _EPS = float(np.finfo(float).eps)
 
 #: Grid points per chunk, at most (the refined grid's extra points are one
 #: more chunk, of at most 200).  Each chunk is evaluated on its own context,
-#: whose arrays are buffers of the chunk's size lent by its worker's
-#: workspace: the pairs' quantities, each mean until the last member that
-#: reads it is dropped, each member's values until its last link, and the
-#: margins.  On verify's stage, the chain suite and the tightened probes
-#: together, a worker allocates 23 of them, as on the chain suite alone:
-#: 9 MB at 50 000 points and well past a core's L2 cache.  The workspace
-#: allocates them once per stage, so their pages are faulted in once per
-#: worker and stage, not once per chunk.  Memory grows with the chunk size
-#: and the core count, not the grid.
+#: whose arrays have the chunk's size: the pairs' quantities, each mean until
+#: the last member that reads it is dropped, each member's values until its
+#: last link, the margins and the kernels' temporaries.  On verify's stage a
+#: worker holds about 30 of them at once, as on the chain suite alone: 15 MB,
+#: well past a core's L2 cache.  They are freed as the chunk goes; the CLI
+#: asks the allocator to keep freed memory (cli._keep_freed_memory), so the
+#: next chunk reuses the pages instead of faulting them in again.  Memory
+#: grows with the chunk size and the core count, not the grid.
 CHUNK_POINTS = 1 << 16
 
 _NC = _ratios_mod.named_constants()
@@ -82,6 +80,8 @@ class GridSpec:
             raise ConfigError("grid needs r_max > 1 + r_min")
         if not (self.b > 0.0 and math.isfinite(self.b)):
             raise ConfigError("grid needs positive finite b")
+        if not math.isfinite(self.r_max * self.b):
+            raise ConfigError(f"grid needs finite r_max*b; r_max = {self.r_max!r}, b = {self.b!r}")
 
     def ratios(self) -> np.ndarray:
         return self.ratios_slice(0, self.n)
@@ -119,10 +119,11 @@ class GridSpec:
 
 
 @lru_cache(maxsize=16)
-def _extra_ratios(r_max: float) -> np.ndarray:
-    """The refined grid's 100 + 100 extra points, sorted and each once."""
-    if not math.isfinite(r_max * 1e4):
-        raise ConfigError(f"refined grid needs finite r_max*1e4; r_max = {r_max!r}")
+def _extra_ratios(r_max: float, b: float) -> np.ndarray:
+    """The refined grid's 100 + 100 extra points, sorted and each once; the
+    largest a, r_max*1e4*b, must be finite."""
+    if not math.isfinite(r_max * 1e4 * b):
+        raise ConfigError(f"refined grid needs finite r_max*1e4*b; r_max = {r_max!r}, b = {b!r}")
     near = np.geomspace(1.0 + 1e-12, 1.0 + 1e-6, 100, endpoint=False)
     far = np.geomspace(r_max, r_max * 1e4, 100)
     extra = np.unique(np.concatenate([near, far]))
@@ -152,7 +153,7 @@ def _refined_pair(grid: GridSpec) -> Pair | None:
 def refined_ratios(grid: GridSpec) -> np.ndarray:
     """The grid plus 100 extra points hugging each asymptotic end, sorted and
     deduplicated."""
-    return np.unique(np.concatenate([_extra_ratios(grid.r_max), grid.ratios()]))
+    return np.unique(np.concatenate([_extra_ratios(grid.r_max, grid.b), grid.ratios()]))
 
 
 @dataclass(frozen=True)
@@ -213,12 +214,9 @@ class ChainReport:
         }
 
 
-def _rel_margins(lhs: np.ndarray, rhs: np.ndarray, out=None) -> np.ndarray:
-    """(rhs - lhs)/max(|lhs|, |rhs|), and 0 where that denominator is 0 or NaN.
-
-    out: two arrays of the sides' shape that receive the denominator and the
-    margins (which are returned)."""
-    denom, margins = out if out is not None else (np.empty_like(lhs), np.empty_like(lhs))
+def _rel_margins(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(rhs - lhs)/max(|lhs|, |rhs|), and 0 where that denominator is 0 or NaN."""
+    denom, margins = np.empty_like(lhs), np.empty_like(lhs)
     np.abs(lhs, out=denom)
     np.maximum(denom, np.abs(rhs, out=margins), out=denom)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -246,7 +244,7 @@ def _ratio_bound(c: float) -> float:
     return (1.0 + 4.0 * _EPS) / d if d > 0.0 else math.inf
 
 
-def _link_minimum(lhs, rhs, clean: bool, workspace: Workspace):
+def _link_minimum(lhs, rhs, clean: bool):
     """(j, margin): j = np.argmin(_rel_margins(lhs, rhs)) and the margin
     there, bit for bit.  clean: both sides are > 0 and below inf everywhere.
 
@@ -256,10 +254,9 @@ def _link_minimum(lhs, rhs, clean: bool, workspace: Workspace):
     (_ratio_bound), whose first argmin is the whole link's.  Elsewhere (a side
     that is 0, negative, inf or NaN somewhere; at an inf side the margin is
     NaN while q is inf or 0) the margins are computed at every point."""
-    buffer = workspace.take(lhs.size)
     if clean:
         with np.errstate(over="ignore"):  # q is inf where rhs/lhs overflows
-            q = np.divide(rhs, lhs, out=buffer)
+            q = rhs / lhs
         i = int(np.argmin(q))
         l, r = float(lhs[i]), float(rhs[i])
         idx = np.flatnonzero(q <= _ratio_bound((r - l) / max(l, r)))
@@ -267,12 +264,9 @@ def _link_minimum(lhs, rhs, clean: bool, workspace: Workspace):
         k = int(np.argmin(margins))
         j, margin = int(idx[k]), margins[k]
     else:
-        other = workspace.take(lhs.size)
-        margins = _rel_margins(lhs, rhs, (other, buffer))
+        margins = _rel_margins(lhs, rhs)
         j = int(np.argmin(margins))
         margin = margins[j]
-        workspace.give(other)
-    workspace.give(buffer)
     return j, float(margin)
 
 
@@ -312,43 +306,39 @@ class _LinkPlan:
         for kind, step in last_read.items():
             self.uncache[step].append(kind)
 
-    def scan(self, ratios: np.ndarray, b, workspace: Workspace, links=None):
+    def scan(self, ratios: np.ndarray, b, links=None):
         """Over the pairs (ratios*b, b): per link, (min margin, ratio at the
         first argmin, rhs - lhs there), or None where a member raised or the
         link is not scanned; and the EvalError each failing member raised,
         by member slot: at its first failing node's first bad pair.  links:
         the link slots to scan, and so the members to evaluate; all of them
-        by default.  Every chunk-sized array of the scan is lent by the
-        workspace and given back by the end."""
+        by default."""
         out = [None] * len(self.links)
         errors = {}
         if not ratios.size:
             return out, errors
         wanted = None if links is None else {s for k in links for s in self.links[k]}
-        n = ratios.size
-        a = np.multiply(ratios, b, out=workspace.take(n))
+        ctx = GridContext(ratios * b, b)
         values, clean = {}, {}
-        with GridContext(a, b, workspace=workspace) as ctx:
-            for s, member in enumerate(self.members):
-                try:
-                    if wanted is None or s in wanted:
-                        values[s] = v = np.asarray(ctx.evaluate(member))
-                        clean[s] = v.min() > 0.0 and v.max() < math.inf
-                except EvalError as exc:
-                    # kept without its traceback, whose frames would hold the
-                    # scan's arrays for as long as the error is kept
-                    errors[s] = exc.with_traceback(None)
-                for k in self.ready[s]:
-                    l, r = self.links[k]
-                    if l in values and r in values and (links is None or k in links):
-                        lhs, rhs = values[l], values[r]
-                        j, margin = _link_minimum(lhs, rhs, clean[l] and clean[r], workspace)
-                        # as Python floats, two infinities subtract without a warning
-                        out[k] = (margin, float(ratios[j]), float(rhs[j]) - float(lhs[j]))
-                for m in self.drop[s]:
-                    ctx.release(values.pop(m, None))
-                ctx.forget(self.uncache[s])
-        workspace.give(a)
+        for s, member in enumerate(self.members):
+            try:
+                if wanted is None or s in wanted:
+                    values[s] = v = np.asarray(ctx.evaluate(member))
+                    clean[s] = v.min() > 0.0 and v.max() < math.inf
+            except EvalError as exc:
+                # kept without its traceback, whose frames would hold the
+                # scan's arrays for as long as the error is kept
+                errors[s] = exc.with_traceback(None)
+            for k in self.ready[s]:
+                l, r = self.links[k]
+                if l in values and r in values and (links is None or k in links):
+                    lhs, rhs = values[l], values[r]
+                    j, margin = _link_minimum(lhs, rhs, clean[l] and clean[r])
+                    # as Python floats, two infinities subtract without a warning
+                    out[k] = (margin, float(ratios[j]), float(rhs[j]) - float(lhs[j]))
+            for m in self.drop[s]:
+                values.pop(m, None)
+            ctx.forget(self.uncache[s])
         return out, errors
 
 
@@ -360,22 +350,16 @@ def _worker_count(chunks: int) -> int:
     return min(chunks, cores)
 
 
-def _chunk_bounds(n: int):
-    """The chunks [lo, hi) of range(n), and the worker count.  At most
-    CHUNK_POINTS points each, the chunks come in a multiple of the worker
-    count and hold ceil(n / count) points each, so every worker gets the
-    same share."""
+def _map_chunks(run, n: int):
+    """Yield run(lo, hi) for the chunks [lo, hi) of range(n), in order.  At
+    most CHUNK_POINTS points each, the chunks come in a multiple of the
+    worker count and hold ceil(n / count) points each, so every worker gets
+    the same share.  Several chunks run on a thread pool; the kernels spend
+    their time in numpy, which releases the GIL."""
     chunks = -(-n // CHUNK_POINTS)
     workers = _worker_count(chunks)
     size = -(-n // (workers * -(-chunks // workers)))
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)], workers
-
-
-def _map_chunks(run, n: int):
-    """Yield run(lo, hi) for the chunks [lo, hi) of range(n), in order.
-    Several chunks run on a thread pool; the kernels spend their time in
-    numpy, which releases the GIL."""
-    bounds, workers = _chunk_bounds(n)
+    bounds = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
     if workers < 2:
         for lo, hi in bounds:
             yield run(lo, hi)
@@ -433,8 +417,7 @@ def _grid_link_minima(member_lists, grid: GridSpec, refined_lists=()):
     One stage, streamed, failing lists too: each grid chunk [lo, hi)
     evaluates grid.ratios_slice(lo, hi) alone for both kinds of list, and
     the extra points of the refined grid form one more chunk, on which only
-    the refined lists are evaluated (where it is the larger, each workspace
-    is sized for it from its first chunk, so that its buffers never grow).
+    the refined lists are evaluated.
     A link merges chunk by chunk, in grid order, with a first argmin; a
     refined link then merges with its record on the extra points, which is
     the first argmin over the sorted refined grid: a NaN margin first, then
@@ -443,34 +426,25 @@ def _grid_link_minima(member_lists, grid: GridSpec, refined_lists=()):
     errors its members raised on the chunks; the member lists' records and
     errors are taken before the extra points are scanned, so they come from
     the grid alone."""
-    extra = _extra_ratios(grid.r_max) if refined_lists else np.empty(0)
+    extra = _extra_ratios(grid.r_max, grid.b) if refined_lists else np.empty(0)
     plan = _LinkPlan([*member_lists, *refined_lists])
     plain_rows, refined_rows = plan.rows[: len(member_lists)], plan.rows[len(member_lists) :]
     best = [None] * len(plan.links)
     failed = {}  # member slot -> the a at which it raised, on each chunk it raised on
-    workspaces = threading.local()  # one per worker, dropped with the stage
-    bounds, _ = _chunk_bounds(grid.n)
-    size = bounds[0][1]  # the largest grid chunk
-
-    def scan(ratios, links=None):
-        workspace = getattr(workspaces, "workspace", None)
-        if workspace is None:
-            workspace = workspaces.workspace = Workspace()
-            if size < extra.size:  # sized for the extra points, so that they do not regrow it
-                workspace.give(workspace.take(extra.size))
-        return plan.scan(ratios, grid.b, workspace, links)
 
     def note(errors):
         for s, exc in errors.items():
             failed.setdefault(s, set()).add(exc.pair[0])
 
-    for links, errors in _map_chunks(lambda lo, hi: scan(grid.ratios_slice(lo, hi)), grid.n):
+    for links, errors in _map_chunks(
+        lambda lo, hi: plan.scan(grid.ratios_slice(lo, hi), grid.b), grid.n
+    ):
         best = [_first_min(pair) for pair in zip(best, links)]
         note(errors)
     plain = _list_minima(member_lists, plain_rows, best, failed, grid.b)
     if extra.size:
         refined_links = {k for _, ls in refined_rows for k in ls}
-        links, errors = scan(extra, refined_links)
+        links, errors = plan.scan(extra, grid.b, refined_links)
         note(errors)
         for k in refined_links:  # the record of the lesser ratio first
             parts = sorted((p for p in (best[k], links[k]) if p is not None), key=lambda p: p[1])

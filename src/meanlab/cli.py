@@ -13,12 +13,17 @@ thread per core when there are several.  verify is one pass: a chunk
 evaluates each distinct member of the selected chains and of the tightened
 probe chains once and scans each distinct link once, and the refined grid's
 extra points are one more chunk, for the probes alone.  The report does not
-depend on the chunking or the thread count.
+depend on the chunking or the thread count.  main asks glibc's malloc, once
+per process, to keep the memory that chunks free, so that the next chunk
+does not fault its pages in again; a program that imports meanlab gets the
+default allocator.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import sys
 
@@ -39,6 +44,30 @@ from .expressions import evaluate, parse_expr
 
 _USAGE_ERROR = 2
 _CHECK_FAILED = 1
+
+#: glibc's mallopt parameters (malloc.h), with the values main sets: an mmap
+#: threshold above the largest chunk array (8*CHUNK_POINTS = 512 KiB), and the
+#: largest that older glibc accepts on 64-bit; a trim threshold above what a
+#: worker holds at once on a stage (about 30 chunk arrays, 15 MB).
+_MALLOPT = ((-3, 32 << 20), (-1, 64 << 20))  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Ask glibc's malloc, once per process, to keep the memory that grid
+    chunks free, so that the next chunk reuses its pages instead of faulting
+    them in again: by default glibc unmaps arrays this large on free, or
+    trims them off its heap.  Where the C library has no mallopt, or it
+    refuses, nothing is set; reports are the same, only the fault count
+    differs."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no C library handle
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _MALLOPT:
+        if not mallopt(param, value):
+            return
 
 
 def _fmt(value: float) -> str:
@@ -235,6 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import means
 from .errors import EvalError, ParseError
-from .means import _OPERATORS, MeanKind
+from .means import MeanKind
 
 
 @dataclass(frozen=True)
@@ -267,30 +268,6 @@ def to_text(expr: MeanExpr) -> str:
     return fold(expr, _TEXT)
 
 
-class Workspace:
-    """One worker's float64 buffers, reused from chunk to chunk.
-
-    take(n) lends a view [:n] of a free buffer, allocating a buffer of the
-    workspace's capacity when none is free; give(view) returns it.  The
-    capacity grows to the largest n asked for, and buffers of a smaller
-    capacity are then dropped.  Not thread-safe: each worker has its own."""
-
-    def __init__(self):
-        self.capacity = 0
-        self._free: list[np.ndarray] = []
-
-    def take(self, n: int) -> np.ndarray:
-        if n > self.capacity:
-            self.capacity = n
-            self._free.clear()
-        buf = self._free.pop() if self._free else np.empty(self.capacity)
-        return buf[:n]
-
-    def give(self, view: np.ndarray) -> None:
-        if view.base.size == self.capacity:
-            self._free.append(view.base)
-
-
 class GridContext:
     """One grid of pairs, the float algebra that folds expressions over it,
     and a cache of the grid's means by MeanKind.
@@ -301,104 +278,33 @@ class GridContext:
     a mean of subexpressions (``L(X, A)``) prepares its own pair, and an
     offset form's two log offsets are node results.
 
-    With a :class:`Workspace`, the pair's quantities, the cached means and
-    the node results are written into buffers lent by it instead of fresh
-    arrays, and each is given back once: a node result that evaluate
-    returned by ``release``, a cached mean by ``forget``, and whatever is
-    still held by ``close`` (or on leaving a ``with`` block).
-
     With ``pair``, a prepared ``means.Pair(a, b)`` (:meth:`means.Pair.prepared`),
     the context reads it instead of building its own.
     """
 
-    def __init__(self, a, b, workspace: Workspace | None = None, pair: means.Pair | None = None):
+    def __init__(self, a, b, pair: means.Pair | None = None):
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self._pair = pair
         self._cache: dict[MeanKind, np.ndarray] = {}
-        self._workspace = workspace
-        if workspace is not None:
-            self._shape = np.broadcast(self.a, self.b).shape
-            self._pair_buffers: list[np.ndarray] = []
-            self._results: dict[int, np.ndarray] = {}  # node results, by id
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def _lend(self):
-        """A buffer of the grid's shape from the workspace."""
-        return self._workspace.take(math.prod(self._shape)).reshape(self._shape)
-
-    def _lender(self, held: list):
-        """An alloc for means.Pair: it lends a buffer and records it in held."""
-
-        def alloc():
-            held.append(self._lend())
-            return held[-1]
-
-        return alloc
-
-    def release(self, value) -> None:
-        """Give back the buffer of a node result that evaluate returned; any
-        other value (a cached mean, a constant, None) is left alone."""
-        if self._workspace is not None:
-            buf = self._results.pop(id(value), None)
-            if buf is not None:
-                self._workspace.give(buf)
 
     def forget(self, kinds) -> None:
-        """Drop the cached means of these kinds (as from cached_reads) and
-        give back their buffers; a mean read again is computed again."""
+        """Drop the cached means of these kinds (as from cached_reads); a
+        mean read again is computed again."""
         for kind in kinds:
-            got = self._cache.pop(kind, None)
-            if got is not None and self._workspace is not None:
-                self._workspace.give(got)
-
-    def close(self) -> None:
-        """Give back every buffer still held and forget what they cached."""
-        if self._workspace is not None:
-            for buf in [*self._pair_buffers, *self._cache.values(), *self._results.values()]:
-                self._workspace.give(buf)
-            self._pair_buffers.clear()
-            self._results.clear()
-        self._pair = None
-        self._cache.clear()
-
-    def _apply(self, fn, *args):
-        """fn(*args) as a node result, for a ufunc or a function that reads
-        its operands before writing its output.  With a workspace and an
-        array operand, it is written over the first operand that is a node
-        result, or else into a newly lent buffer, and the other node-result
-        operands are given back."""
-        if self._workspace is None or not any(isinstance(x, np.ndarray) for x in args):
-            return _OPERATORS.get(fn, fn)(*args)
-        owned = [x for x in args if id(x) in self._results]
-        if owned:
-            out = owned[0]
-        else:
-            out = self._lend()
-            self._results[id(out)] = out
-        fn(*args, out=out)
-        for x in owned[1:]:
-            self.release(x)
-        return out
+            self._cache.pop(kind, None)
 
     @property
     def pair(self) -> means.Pair:
         """The grid's pairs, validated and canonicalized once for every
         kernel (on first use, so a grid that no mean reads is not checked)."""
         if self._pair is None:
-            alloc = None if self._workspace is None else self._lender(self._pair_buffers)
-            self._pair = means.Pair(self.a, self.b, alloc=alloc)
+            self._pair = means.Pair(self.a, self.b)
         return self._pair
 
     def _kernel(self, kernel, *args):
-        """kernel(*args, a, b) of the grid's pairs; with a workspace, lent."""
-        out = None if self._workspace is None else self._lend()
-        got = kernel(*args, self.a, self.b, pair=self.pair, out=out)
+        """kernel(*args, a, b) of the grid's pairs."""
+        got = kernel(*args, self.a, self.b, pair=self.pair)
         # a scalar pair's value is held as a numpy scalar, on which the
         # expression's arithmetic is some 20 times cheaper than on a 0-d array
         return np.float64(got) if isinstance(got, float) else np.asarray(got)
@@ -425,29 +331,20 @@ class GridContext:
     def call(self, node: Call, x):
         if node.fn == "exp":
             with np.errstate(all="ignore"):
-                out = self._apply(np.exp, x)
+                out = np.exp(x)
             return self._guard(node, out, ~np.isfinite(np.asarray(out)))
         self._guard(node, x, ~(np.asarray(x) > 0.0) if node.fn == "log" else np.asarray(x) < 0.0)
-        return self._apply(getattr(np, node.fn), x)  # log or sqrt
+        return getattr(np, node.fn)(x)  # log or sqrt
 
     def nested(self, node: MeanCall, u, v):
         """The mean of computed operands (as in ``L(X, A)``).  Its pair is
-        prepared for this call alone, and with a workspace the pair's
-        quantities are lent for the call."""
+        prepared for this call alone."""
         self._guard(node, None, ~((np.asarray(u) > 0.0) & (np.asarray(v) > 0.0)))
-        kernel = means.mean_kernel(node.kind)
-        if self._workspace is None:
-            return np.asarray(kernel(u, v))
-        lent = []
-        pair = means.Pair(u, v, alloc=self._lender(lent))
-        out = self._apply(functools.partial(kernel, pair=pair), u, v)
-        for buf in lent:
-            self._workspace.give(buf)
-        return out
+        return np.asarray(means.mean_kernel(node.kind)(u, v))
 
     def binop(self, node: BinOp, lhs, rhs):
         with np.errstate(all="ignore"):
-            out = self._apply(_BINARY[node.op], lhs, rhs)
+            out = _BINARY[node.op](lhs, rhs)
         if node.op in ("/", "^"):
             return self._guard(node, out, ~np.isfinite(np.asarray(out)))
         return out
@@ -457,33 +354,22 @@ class GridContext:
         the means' log offsets u = log(M/A); a non-finite result raises, as
         a non-finite quotient does."""
         u1, u2 = (self._kernel(means.log_over_arithmetic, kind) for kind in (kind1, kind2))
-        if self._workspace is not None:  # node results, unlike the cached means
-            self._results.update({id(u1): u1, id(u2): u2})
-        d = self._apply(np.subtract, u1, u2)
+        d = u1 - u2
         if form == "log":
             out = d
         elif form == "difference":
-            top = self._apply(np.maximum, self.mean(kind1), self.mean(kind2))
-            out = self._apply(np.multiply, top, self._apply(_signed_gap, d))
+            out = np.maximum(self.mean(kind1), self.mean(kind2)) * _signed_gap(d)
         else:  # M1/M2 - 1 = expm1(d)
             with np.errstate(all="ignore"):
-                out = self._apply(np.expm1, d)
+                out = np.expm1(d)
             if form == "one_minus":
-                out = self._apply(np.negative, out)
+                out = -out
         return self._guard(node, out, ~np.isfinite(np.asarray(out)))
 
     def evaluate(self, expr: MeanExpr):
         """Evaluate over this context's pairs: a float for a scalar pair,
-        otherwise an array of the grid's shape.  With a workspace, the node
-        results of an evaluation that raises are given back."""
-        held = None if self._workspace is None else set(self._results)
-        try:
-            value = fold(expr, self)
-        except EvalError:
-            if held is not None:
-                for key in set(self._results) - held:
-                    self._workspace.give(self._results.pop(key))
-            raise
+        otherwise an array of the grid's shape."""
+        value = fold(expr, self)
         if self.a.ndim == 0 and self.b.ndim == 0:
             return float(value)
         out = np.asarray(value, dtype=float)
@@ -542,13 +428,22 @@ def cached_reads(node: MeanExpr) -> set:
     return fold(node, _READS)
 
 
-def _signed_gap(d, out=None):
+def _signed_gap(d):
     """sign(d) (1 - e^(-|d|)): (M1 - M2)/max(M1, M2) for d = log(M1/M2).
     expm1 never sees a positive argument, so it cannot overflow."""
-    return means._into(out, np.copysign, np.expm1(-abs(d)), d)
+    return np.copysign(np.expm1(-abs(d)), d)
 
 
-_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+#: The operator forms, which on numpy scalars cost some 20 times less than a
+#: ufunc call; but ^ is np.power, whose results ** on numpy scalars does not
+#: match bit for bit.
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": np.power,
+}
 
 
 def evaluate(expr: MeanExpr, a, b):

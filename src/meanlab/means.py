@@ -31,8 +31,9 @@ Both take truncated series below one threshold on t, ``SERIES_T_THRESHOLD``;
 the only other series is P's offset, x/sin x - 1 at every t.  A series or
 overflow branch is evaluated only on the points that take it; a scalar pair
 takes it whole.  A grid kernel given ``out=`` computes its steps
-in that array and returns it, so a caller that reuses its arrays (a grid
-stage's workspace) allocates only the kernel's few temporaries per call.
+in that array and returns it, so a caller that reuses an array from call to
+call (the bracket's exponent on every order) allocates only the kernel's few
+temporaries per call.
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ def _piecewise(mask, out, fn, *args):
     if idx.size:
         with np.errstate(all="ignore"):
             taken = (arg.take(idx) if isinstance(arg, np.ndarray) else arg for arg in args)
-            # a flat view of out, which is always a fresh or lent contiguous
-            # buffer: the same writes as np.put, at well under half its cost
+            # a flat view of out, always a contiguous buffer (fresh, or a
+            # kernel's out=): the same writes as np.put, at well under half its cost
             out.reshape(-1)[idx] = fn(*taken)
     return out
 
@@ -179,18 +180,12 @@ class Pair:
     kernel output on it is 0-d and each branch is taken whole (see
     :func:`_piecewise`); the kernel bodies are the same as on grids.
 
-    ``alloc``, for array pairs: a function returning a fresh float64 buffer
-    of the pairs' shape, into which the pair writes hi, lo and every cached
-    quantity but ``eq``; the caller owns those buffers.
-
     A prepared pair (:meth:`prepared`) has every quantity computed and every
     array read-only: kernels only read a pair's arrays, so one prepared pair
     serves any number of callers, on any threads, and a write into it
     raises."""
 
-    _alloc = None
-
-    def __init__(self, a, b, alloc=None):
+    def __init__(self, a, b):
         self.scalar = _ndim(a) == 0 and _ndim(b) == 0
         if self.scalar:  # float comparisons: numpy reductions cost microseconds
             a, b = float(a), float(b)
@@ -202,9 +197,8 @@ class Pair:
         bb = np.asarray(b, dtype=float)
         if not all(np.isfinite(arr).all() and not (arr <= 0.0).any() for arr in (aa, bb)):
             raise DomainError("means are defined for positive finite arguments only")
-        self._alloc = alloc
-        self.hi = np.maximum(aa, bb, out=alloc and alloc())
-        self.lo = np.minimum(aa, bb, out=alloc and alloc())
+        self.hi = np.maximum(aa, bb)
+        self.lo = np.minimum(aa, bb)
 
     def prepared(self) -> "Pair":
         """This array pair with every quantity computed now and every array
@@ -225,12 +219,12 @@ class Pair:
     @_cached
     def t(self):
         """t = (hi - lo)/(hi + lo), in [0, 1]."""
-        return _sum_safe(_t, 0, self._alloc and self._alloc(), self.hi, self.lo)
+        return _sum_safe(_t, 0, None, self.hi, self.lo)
 
     @_cached
     def g(self):
         """sqrt(hi)*sqrt(lo): the geometric mean, except where hi == lo."""
-        return _into(self._alloc and self._alloc(), np.multiply, np.sqrt(self.hi), np.sqrt(self.lo))
+        return np.sqrt(self.hi) * np.sqrt(self.lo)
 
     @_cached
     def y(self):
@@ -238,13 +232,12 @@ class Pair:
         ratio; unlike arctanh(t) it stays accurate when t is within a few
         ulp of 1."""
         hi, lo = self.hi, self.lo
-        out = self._alloc and self._alloc()
         with np.errstate(all="ignore"):
             u = (hi - lo) / lo
-            log_ratio = _into(out, np.log1p, u)
+            log_ratio = np.log1p(u)
         # past u = 1e15 log1p gains nothing, and u itself may overflow
         log_ratio = _piecewise(u >= 1e15, log_ratio, _log_ratio, hi, lo)
-        return _into(out, np.multiply, 0.5, log_ratio)
+        return 0.5 * log_ratio
 
     @_cached
     def x(self):
@@ -258,7 +251,7 @@ class Pair:
         # the half-angle form everywhere beats gathering them
         with np.errstate(all="ignore"):
             half_angle = 2.0 * np.arcsin(np.sqrt(_sum_safe(_lo_share, 0, None, hi, lo)))
-            x = _into(self._alloc and self._alloc(), np.subtract, 0.5 * math.pi, half_angle)
+            x = 0.5 * math.pi - half_angle
         return _piecewise(self.t <= 0.9, x, np.arcsin, self.t)
 
     @_cached
@@ -266,9 +259,8 @@ class Pair:
         """log(G/A) = log1p(-t^2)/2.  Past y = 1 log1p(-t^2) loses the
         digits of 1 - t^2, and from a ratio of about 1e16 it is log1p(-1);
         there it is -log(cosh y) = -(y - log 2 + log1p(e^(-2y)))."""
-        buf = self._alloc and self._alloc()
         with np.errstate(all="ignore"):
-            out = _into(buf, np.log1p, _into(buf, np.multiply, -self.t, self.t))
+            out = np.log1p(-self.t * self.t)
         out *= 0.5
         return _piecewise(self.y > 1.0, out, _minus_log_cosh, self.y)
 
@@ -279,7 +271,7 @@ class Pair:
         small = self.t < SERIES_T_THRESHOLD
         if self.scalar and small:  # the series alone; a grid takes it where small
             return series.xcotx_minus_one(self.x)
-        xc = _sum_safe(_cos_x, 0, self._alloc and self._alloc(), self.hi, self.lo, self.g)
+        xc = _sum_safe(_cos_x, 0, None, self.hi, self.lo, self.g)
         with np.errstate(all="ignore"):
             xc *= self.x
             xc /= self.t
@@ -293,9 +285,8 @@ class Pair:
         small = self.t < SERIES_T_THRESHOLD
         if self.scalar and small:
             return series.ycothy_minus_one(self.y)
-        buf = self._alloc and self._alloc()
         with np.errstate(all="ignore"):
-            w = _into(buf, np.divide, self.y, _into(buf, np.tanh, self.y))
+            w = self.y / np.tanh(self.y)
             w -= 1.0
         return _piecewise(small, w, series.ycothy_minus_one, self.y)
 

@@ -2,11 +2,12 @@ import json
 import math
 import warnings
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from meanlab import chains, means, ratios
+from meanlab import chains, cli, means, ratios
 from meanlab.chains import GridSpec, builtin_suite
 from meanlab.cli import main
 
@@ -316,7 +317,7 @@ class TestSharedGridContext:
         grid = GridSpec(r_min=0.1, n=2000)
         bounds = chunk_bounds(2000, 512)
         contexts = [hi - lo for lo, hi in bounds]
-        contexts.append(chains._extra_ratios(grid.r_max).size)
+        contexts.append(chains._extra_ratios(grid.r_max, grid.b).size)
         g_sizes = sorted(size for kind, size, _ in calls if kind == "G")
         assert g_sizes == sorted(contexts)
         # one validated pair per chunk context, shared by all its kernels, and
@@ -435,3 +436,37 @@ class TestMisc:
 
     def test_missing_subcommand_usage_error(self, run):
         assert run()[0] == 2
+
+
+class _Mallopt:
+    """A C mallopt that records its calls and returns result."""
+
+    def __init__(self, result):
+        self.result, self.calls = result, []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.result
+
+
+class TestAllocatorSetting:
+    EMIT = ("emit", "(P+X)/2", "50", "--grid-max", "1e300")
+    SET = [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    @pytest.mark.parametrize(
+        "result, calls", [(1, SET), (0, SET[:1]), (None, [])], ids=["glibc", "refused", "none"]
+    )
+    def test_main_asks_once_and_reports_the_same(self, monkeypatch, run, result, calls):
+        # main asks the C library once per process; where it has no mallopt,
+        # or mallopt refuses, nothing more is set, and no output changes
+        expected = run(*self.EMIT)
+        mallopt = None if result is None else _Mallopt(result)
+        libc = SimpleNamespace() if mallopt is None else SimpleNamespace(mallopt=mallopt)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        cli._keep_freed_memory.cache_clear()
+        try:
+            assert run(*self.EMIT) == expected
+            assert run("eval", "--a", "4", "--b", "1", "X")[0] == 0
+        finally:
+            cli._keep_freed_memory.cache_clear()
+        assert (mallopt.calls if mallopt else []) == calls

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import meanlab.means as M
 from meanlab import series
 from meanlab.errors import DegeneratePairError, DomainError
-from meanlab.expressions import GridContext, Workspace, parse_expr
+from meanlab.expressions import GridContext, parse_expr
 from meanlab.means import MeanKind, PositivePair
 
 import oracles
@@ -591,8 +591,7 @@ class TestBranchCompaction:
 
 class TestOutArgument:
     # a grid kernel given out= writes its result there and returns out
-    # itself, bit for bit what it returns without one, also when its pair
-    # writes its quantities into caller-owned buffers (Pair alloc=)
+    # itself, bit for bit what it returns without one
     KINDS = TestBranchCompaction.KINDS
 
     @staticmethod
@@ -620,25 +619,9 @@ class TestOutArgument:
             for kind in self.KINDS:
                 expected = run(kind, a, b, None, None)
                 out = np.full(shape, np.nan)  # every point must be written
-                pair = M.Pair(a, b, alloc=lambda: np.full(shape, np.nan))
-                got = run(kind, a, b, pair, out)
+                got = run(kind, a, b, M.Pair(a, b), out)
                 assert got is out, kind
                 assert _bits(got).tolist() == _bits(expected).tolist(), kind
-
-    def test_pair_quantities_live_in_the_allocated_buffers(self):
-        a, b = TestBranchCompaction._grid()
-        lent = []
-
-        def alloc():
-            lent.append(np.full(a.shape, np.nan))
-            return lent[-1]
-
-        pair, plain = M.Pair(a, b, alloc=alloc), M.Pair(a, b)
-        for name in ("hi", "lo", "t", "g", "y", "x", "log_g", "xc", "w"):
-            got = getattr(pair, name)
-            assert any(got is buf for buf in lent), name
-            assert _bits(got).tolist() == _bits(getattr(plain, name)).tolist(), name
-        assert len(lent) == 9
 
 
 class TestExponentsOncePerPair:
@@ -658,13 +641,12 @@ class TestExponentsOncePerPair:
             monkeypatch.setattr(series, name, counted)
         return calls
 
-    @pytest.mark.parametrize("workspace", [None, Workspace()], ids=["plain", "workspace"])
-    def test_on_a_grid(self, calls, workspace):
+    def test_on_a_grid(self, calls):
         t = M.Pair(self.GRID, 1.0).t
         assert (t < M.SERIES_T_THRESHOLD).any() and (t >= M.SERIES_T_THRESHOLD).any()
-        with GridContext(self.GRID, 1.0, workspace) as ctx:
-            for text in self.EXPRESSIONS:
-                ctx.release(ctx.evaluate(parse_expr(text)))
+        ctx = GridContext(self.GRID, 1.0)
+        for text in self.EXPRESSIONS:
+            ctx.evaluate(parse_expr(text))
         assert calls == {"xcotx_minus_one": 1, "ycothy_minus_one": 1}
 
     def test_on_a_scalar_pair(self, calls):

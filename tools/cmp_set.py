@@ -43,6 +43,12 @@ COMMANDS = {
     # grids smaller than the refined grid's 200 extra points
     "verify-2": ["verify", "--points", "2"],
     "verify-10": ["verify", "--points", "10"],
+    # the scalar and whole-grid (not streamed) evaluations
+    "emit-PX-300": ["emit", "(P+X)/2", "300"],
+    "emit-x_gap_ratio-300": ["emit", "x_gap_ratio", "300"],
+    "emit-LXA-P-max1e300-300": ["emit", "L(X, A) - P", "300", "--grid-max", "1e300"],
+    "eval-1e300-G-Y": ["eval", "--a", "1e300", "--b", "1", "G - Y"],
+    "limit-x_gap_ratio": ["limit", "x_gap_ratio"],
 }
 
 
