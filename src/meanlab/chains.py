@@ -104,7 +104,10 @@ class GridSpec:
         y += log_start
         if hi == self.n:
             y[-1] = log_stop
-        r = np.power(10.0, y)
+        # at r_max near DBL_MAX, 10**log10(r_max) can round past it to inf;
+        # the endpoint is overwritten with r_max below, as numpy does
+        with np.errstate(over="ignore"):
+            r = np.power(10.0, y)
         if lo == 0:
             r[0] = start
         if hi == self.n:
@@ -125,29 +128,21 @@ def _extra_ratios(r_max: float, b: float) -> np.ndarray:
     if not math.isfinite(r_max * 1e4 * b):
         raise ConfigError(f"refined grid needs finite r_max*1e4*b; r_max = {r_max!r}, b = {b!r}")
     near = np.geomspace(1.0 + 1e-12, 1.0 + 1e-6, 100, endpoint=False)
-    far = np.geomspace(r_max, r_max * 1e4, 100)
+    # at r_max*1e4 near DBL_MAX geomspace's 10**log10 can overflow at the
+    # endpoint, which it then sets to r_max*1e4 itself
+    with np.errstate(over="ignore"):
+        far = np.geomspace(r_max, r_max * 1e4, 100)
     extra = np.unique(np.concatenate([near, far]))
     extra.flags.writeable = False
     return extra
 
 
 @lru_cache(maxsize=4)
-def _refined_points(grid: GridSpec) -> np.ndarray:
-    """The bracket's a values: the whole refined grid times b, read-only."""
-    a = refined_ratios(grid) * grid.b
-    a.flags.writeable = False
-    return a
-
-
-@lru_cache(maxsize=4)
-def _refined_pair(grid: GridSpec) -> Pair | None:
+def _refined_pair(grid: GridSpec) -> Pair:
     """The prepared Pair of the bracket's refined grid, which every search on
-    the grid reads; None where some a overflows, so that the search's own
-    context raises where and what it raised without one."""
-    try:
-        return Pair(_refined_points(grid), grid.b).prepared()
-    except DomainError:
-        return None
+    the grid reads.  Every refined ratio is >= 1, so its hi is the grid's a,
+    bit for bit."""
+    return Pair(refined_ratios(grid) * grid.b, grid.b).prepared()
 
 
 def refined_ratios(grid: GridSpec) -> np.ndarray:
@@ -1011,12 +1006,11 @@ class _OrderTest:
         hide it."""
 
     def __init__(self, expr, lower: bool, grid: GridSpec, margin_guard: float):
-        self.a, self.b = _refined_points(grid), grid.b
-        ctx = GridContext(self.a, self.b, pair=_refined_pair(grid))
-        self.tv = np.asarray(ctx.evaluate(expr))
+        pair = self.pair = _refined_pair(grid)
+        self.a, self.b = pair.hi, grid.b
+        self.tv = np.asarray(GridContext(self.a, self.b, pair=pair).evaluate(expr))
         if np.any(~(self.tv > 0.0)):
             raise DomainError("target must evaluate positive on the grid")
-        pair = self.pair = ctx.pair
         self.lower, self.guard = lower, margin_guard
         # the verdicts of every s <= 0 and every s >= 0 that the sign rule
         # fixes, the witness (its failing line and its scalar Pair), and the

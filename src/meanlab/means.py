@@ -30,16 +30,14 @@ w = y coth y - 1 >= 0, whence, with nothing cancelling,
 Both take truncated series below one threshold on t, ``SERIES_T_THRESHOLD``;
 the only other series is P's offset, x/sin x - 1 at every t.  A series or
 overflow branch is evaluated only on the points that take it; a scalar pair
-takes it whole.  A grid kernel given ``out=`` computes its steps
-in that array and returns it, so a caller that reuses an array from call to
-call (the bracket's exponent on every order) allocates only the kernel's few
-temporaries per call.
+takes it whole.  Each kernel returns an array of its own; only
+:func:`power_mean_exponent` also takes ``out=``, an array to compute its
+steps in, so that the bracket, which asks for it on every order, reuses one.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -65,52 +63,38 @@ _LOG_MAX = math.log(np.finfo(float).max)
 _TINY = np.finfo(float).tiny
 
 
-#: The operator form of each ufunc that _into calls without an output.
-_OPERATORS = {
-    np.add: operator.add,
-    np.subtract: operator.sub,
-    np.multiply: operator.mul,
-    np.divide: operator.truediv,
-    np.negative: operator.neg,
-    np.positive: operator.pos,
-}
-
-
 def _into(out, ufunc, *args):
-    """ufunc(*args), written into out when one is given (a grid's reused
-    buffer).  Without one it is the operator form and passes no out keyword:
-    on numpy scalars a ufunc call costs some 20 times the operator, and an
-    out=None keyword alone about triples the cost of np.exp."""
-    if out is None:
-        return _OPERATORS.get(ufunc, ufunc)(*args)
-    return ufunc(*args, out=out)
+    """ufunc(*args), written into out when one is given.  Without one it
+    passes no out keyword: an out=None keyword alone about triples the cost
+    of np.exp on a numpy scalar."""
+    return ufunc(*args) if out is None else ufunc(*args, out=out)
 
 
-def _piecewise(mask, out, fn, *args):
-    """out with fn(*(arg[mask] for arg in args)) written at the masked
+def _piecewise(mask, values, fn, *args):
+    """values with fn(*(arg[mask] for arg in args)) written at the masked
     points; fn runs on those points only, and not at all if there are none.
     Args other than arrays pass whole; 0-d arrays must not arrive here.  A
     numpy bool mask (a scalar pair) takes one branch whole: it returns
-    fn(*args) or out, with no gather or scatter.  The caller must use the
+    fn(*args) or values, with no gather or scatter.  The caller must use the
     returned value, since a scalar cannot be written in place.  fn may write
     over its gathered array arguments."""
     if not isinstance(mask, np.ndarray):
         if not mask:
-            return out
+            return values
         with np.errstate(all="ignore"):
             return fn(*args)
     idx = np.flatnonzero(mask)
     if idx.size:
         with np.errstate(all="ignore"):
             taken = (arg.take(idx) if isinstance(arg, np.ndarray) else arg for arg in args)
-            # a flat view of out, always a contiguous buffer (fresh, or a
-            # kernel's out=): the same writes as np.put, at well under half its cost
-            out.reshape(-1)[idx] = fn(*taken)
-    return out
+            # a flat view of values, always a contiguous buffer (a kernel's
+            # fresh result): the same writes as np.put, at well under half its cost
+            values.reshape(-1)[idx] = fn(*taken)
+    return values
 
 
-def _sum_safe(fn, degree, out, hi, *args):
-    """fn(hi, *args, out), a formula homogeneous of the given degree in its
+def _sum_safe(fn, degree, hi, *args):
+    """fn(hi, *args), a formula homogeneous of the given degree in its
     arguments (hi and other quantities of degree 1, none above hi) whose only
     overflow is a sum such as hi + lo.  Where hi > max/2, where that sum can
     overflow, it is 2^degree fn of the halved arguments: halving such hi is
@@ -119,32 +103,32 @@ def _sum_safe(fn, degree, out, hi, *args):
     everywhere with warnings off, then redoes its wide points."""
     if not isinstance(hi, np.ndarray):
         if hi <= _HALF_MAX:
-            return fn(hi, *args, out)
+            return fn(hi, *args)
         return _halved(fn, degree, hi, *args)
     with np.errstate(all="ignore"):
-        out = fn(hi, *args, out)
-    return _piecewise(hi > _HALF_MAX, out, partial(_halved, fn, degree), hi, *args)
+        values = fn(hi, *args)
+    return _piecewise(hi > _HALF_MAX, values, partial(_halved, fn, degree), hi, *args)
 
 
 def _halved(fn, degree, *args):
-    return fn(*(0.5 * v for v in args), None) * 2.0**degree
+    return fn(*(0.5 * v for v in args)) * 2.0**degree
 
 
 # The formulas _sum_safe guards: t, A, lo/(hi + lo) and cos x = G/A.
-def _t(hi, lo, out):
-    return _into(out, np.divide, hi - lo, hi + lo)
+def _t(hi, lo):
+    return (hi - lo) / (hi + lo)
 
 
-def _mid(hi, lo, out):
-    return _into(out, np.multiply, _into(out, np.add, hi, lo), 0.5)
+def _mid(hi, lo):
+    return (hi + lo) * 0.5
 
 
-def _lo_share(hi, lo, out):
-    return _into(out, np.divide, lo, hi + lo)
+def _lo_share(hi, lo):
+    return lo / (hi + lo)
 
 
-def _cos_x(hi, lo, g, out):
-    return _into(out, np.divide, _into(out, np.multiply, 2.0, g), hi + lo)
+def _cos_x(hi, lo, g):
+    return 2.0 * g / (hi + lo)
 
 
 def _ndim(v):
@@ -219,7 +203,7 @@ class Pair:
     @_cached
     def t(self):
         """t = (hi - lo)/(hi + lo), in [0, 1]."""
-        return _sum_safe(_t, 0, None, self.hi, self.lo)
+        return _sum_safe(_t, 0, self.hi, self.lo)
 
     @_cached
     def g(self):
@@ -250,7 +234,7 @@ class Pair:
         # on grids to large ratios most points are past 0.9, and computing
         # the half-angle form everywhere beats gathering them
         with np.errstate(all="ignore"):
-            half_angle = 2.0 * np.arcsin(np.sqrt(_sum_safe(_lo_share, 0, None, hi, lo)))
+            half_angle = 2.0 * np.arcsin(np.sqrt(_sum_safe(_lo_share, 0, hi, lo)))
             x = 0.5 * math.pi - half_angle
         return _piecewise(self.t <= 0.9, x, np.arcsin, self.t)
 
@@ -271,7 +255,7 @@ class Pair:
         small = self.t < SERIES_T_THRESHOLD
         if self.scalar and small:  # the series alone; a grid takes it where small
             return series.xcotx_minus_one(self.x)
-        xc = _sum_safe(_cos_x, 0, None, self.hi, self.lo, self.g)
+        xc = _sum_safe(_cos_x, 0, self.hi, self.lo, self.g)
         with np.errstate(all="ignore"):
             xc *= self.x
             xc /= self.t
@@ -315,55 +299,56 @@ def _pair(a, b, pair):
     return Pair(a, b) if pair is None else pair
 
 
-def _on_diagonal(pair, out):
-    """out with hi written where hi == lo."""
-    if pair.scalar:  # out is 0-d, or a row of power-mean orders
-        return np.full_like(out, pair.hi) if pair.eq else out
-    np.copyto(out, pair.hi, where=pair.eq)
-    return out
+def _on_diagonal(pair, values):
+    """values with hi written where hi == lo."""
+    if pair.scalar:  # values is 0-d, or a row of power-mean orders
+        return np.full_like(values, pair.hi) if pair.eq else values
+    np.copyto(values, pair.hi, where=pair.eq)
+    return values
 
 
-def _ret(out, scalar):
-    return float(out) if scalar else out
+def _ret(values, scalar):
+    return float(values) if scalar else values
 
 
-def arithmetic(a, b, *, pair=None, out=None):
+def arithmetic(a, b, *, pair=None):
     pair = _pair(a, b, pair)
-    return _ret(_sum_safe(_mid, 1, out, pair.hi, pair.lo), pair.scalar)
+    return _ret(_sum_safe(_mid, 1, pair.hi, pair.lo), pair.scalar)
 
 
-def geometric(a, b, *, pair=None, out=None):
+def geometric(a, b, *, pair=None):
     pair = _pair(a, b, pair)
-    return _ret(_on_diagonal(pair, _into(out, np.positive, pair.g)), pair.scalar)
+    # +g: a copy, since the pair's g is shared and may be read-only
+    return _ret(_on_diagonal(pair, +pair.g), pair.scalar)
 
 
-def harmonic(a, b, *, pair=None, out=None):
+def harmonic(a, b, *, pair=None):
     """H = lo (1 + t), since 2 hi/(hi + lo) = 1 + t."""
     pair = _pair(a, b, pair)
-    out = _into(out, np.add, 1.0, pair.t)
-    out *= pair.lo
-    return _ret(out, pair.scalar)
+    h = 1.0 + pair.t
+    h *= pair.lo
+    return _ret(h, pair.scalar)
 
 
-def _half_slope(pair, angle, out):
+def _half_slope(pair, angle):
     """(hi - lo)/(2 angle), with hi where hi == lo: L from y, P from x."""
     with np.errstate(all="ignore"):
-        out = _into(out, np.divide, pair.hi - pair.lo, _into(out, np.multiply, 2.0, angle))
-    return _on_diagonal(pair, out)
+        m = (pair.hi - pair.lo) / (2.0 * angle)
+    return _on_diagonal(pair, m)
 
 
-def _log_y_over_g(pair, out):
+def _log_y_over_g(pair):
     """log(Y/G) = tanh(y)/y - 1 = L/A - 1 = w/(-1 - w)."""
-    return _into(out, np.divide, pair.w, -1.0 - pair.w)
+    return pair.w / (-1.0 - pair.w)
 
 
-def logarithmic(a, b, *, pair=None, out=None):
+def logarithmic(a, b, *, pair=None):
     """L = (a - b)/log(a/b) = (hi - lo)/(2y)."""
     pair = _pair(a, b, pair)
-    return _ret(_half_slope(pair, pair.y, out), pair.scalar)
+    return _ret(_half_slope(pair, pair.y), pair.scalar)
 
 
-def identric(a, b, *, pair=None, out=None):
+def identric(a, b, *, pair=None):
     """I = (1/e)(a^a/b^b)^(1/(a-b)), anchored at hi.
 
     With u = (hi - lo)/lo the exponent (hi log hi - lo log lo)/(hi - lo) - 1
@@ -374,34 +359,34 @@ def identric(a, b, *, pair=None, out=None):
     with np.errstate(all="ignore"):
         u = pair.hi - pair.lo
         u /= pair.lo
-        e = _into(out, np.multiply, 2.0, pair.y)
+        e = 2.0 * pair.y
         e /= u
         e -= 1.0
-        out = _into(out, np.exp, e)
-    out *= pair.hi
-    return _ret(_on_diagonal(pair, out), pair.scalar)
+        m = np.exp(e)
+    m *= pair.hi
+    return _ret(_on_diagonal(pair, m), pair.scalar)
 
 
-def seiffert(a, b, *, pair=None, out=None):
+def seiffert(a, b, *, pair=None):
     """P = (a - b)/(2 arcsin t) = (hi - lo)/(2x)."""
     pair = _pair(a, b, pair)
-    return _ret(_half_slope(pair, pair.x, out), pair.scalar)
+    return _ret(_half_slope(pair, pair.x), pair.scalar)
 
 
-def x_mean(a, b, *, pair=None, out=None):
+def x_mean(a, b, *, pair=None):
     """X = A e^(x cot x - 1)."""
     pair = _pair(a, b, pair)
-    out = _into(out, np.exp, pair.xc)
-    out *= _sum_safe(_mid, 1, None, pair.hi, pair.lo)
-    return _ret(out, pair.scalar)
+    m = np.exp(pair.xc)
+    m *= _sum_safe(_mid, 1, pair.hi, pair.lo)
+    return _ret(m, pair.scalar)
 
 
-def y_mean(a, b, *, pair=None, out=None):
+def y_mean(a, b, *, pair=None):
     """Y = G e^(tanh(y)/y - 1)."""
     pair = _pair(a, b, pair)
-    out = _into(out, np.exp, _log_y_over_g(pair, out))
-    out *= pair.g
-    return _ret(_on_diagonal(pair, out), pair.scalar)
+    m = np.exp(_log_y_over_g(pair))
+    m *= pair.g
+    return _ret(_on_diagonal(pair, m), pair.scalar)
 
 
 #: (weight, asymptote, p -> 0 divisor) of the power-type means; see
@@ -419,13 +404,14 @@ def _power_exponent(pair, p, weight, asymptote, divisor, out=None):
     if p.ndim:
         p, y = np.broadcast_arrays(p, y)
     elif abs(p) < POWER_LIMIT_THRESHOLD:
-        return p * y * y / divisor
+        return _into(out, np.divide, p * y * y, divisor)
     with np.errstate(all="ignore"):
         # (p/2) y is (p y)/2 exactly except where p y overflows or |p| is
         # below POWER_LIMIT_THRESHOLD, points that are replaced below.
         # s * s, not s ** 2: on an array ** 2 is this product, but on a
         # scalar it calls pow, which can differ from it in the last bit
-        s = _into(out, np.sinh, _into(out, np.multiply, 0.5 * p, y))
+        z = 0.5 * p * y if out is None else np.multiply(0.5 * p, y, out=out)
+        s = _into(out, np.sinh, z)
         s *= s
         s *= weight
         out = _into(out, np.log1p, s)
@@ -443,13 +429,13 @@ def _power_exponent(pair, p, weight, asymptote, divisor, out=None):
     return out
 
 
-def _power_type_mean(tag, p, a, b, *, pair=None, out=None):
+def _power_type_mean(tag, p, a, b, *, pair=None):
     pair = _pair(a, b, pair)
     p = np.asarray(p, dtype=float)
     if not np.isfinite(p).all():
         name = "power mean" if tag == "Mp" else "Heronian"
         raise DomainError(f"{name} exponent must be finite")
-    expo, anchor = _power_exponent(pair, p, *_POWER_TYPE[tag], out), pair.g
+    expo, anchor = _power_exponent(pair, p, *_POWER_TYPE[tag]), pair.g
     # where e^E overflows or G is subnormal, M = G e^E is hi e^(E - y): G = hi e^(-y).
     # The extremes tell whether any point is far, for less than the mask costs.
     top = expo.max(initial=-math.inf) if isinstance(expo, np.ndarray) else expo
@@ -457,25 +443,27 @@ def _power_type_mean(tag, p, a, b, *, pair=None, out=None):
     if top > _LOG_MAX or low < _TINY:
         far = (expo > _LOG_MAX) | (anchor < _TINY)
         expo, anchor = np.where(far, expo - pair.y, expo), np.where(far, pair.hi, anchor)
-    out = _into(out, np.exp, expo)
-    out *= anchor
-    return _ret(_on_diagonal(pair, out), pair.scalar and not p.ndim)
+    m = np.exp(expo)
+    m *= anchor
+    return _ret(_on_diagonal(pair, m), pair.scalar and not p.ndim)
 
 
-def power_mean(a, b, p, *, pair=None, out=None):
+def power_mean(a, b, p, *, pair=None):
     """M_p = ((a^p + b^p)/2)^(1/p), with M_0 = G and a stable p ~ 0 limit."""
-    return _power_type_mean("Mp", p, a, b, pair=pair, out=out)
+    return _power_type_mean("Mp", p, a, b, pair=pair)
 
 
 def power_mean_exponent(a, b, p, *, pair=None, out=None):
     """log(M_p/G) for a finite scalar p: the exponent that power_mean raises,
-    with the same bits (0 where hi == lo, where M_p is hi itself)."""
+    with the same bits (0 where hi == lo, where M_p is hi itself).  Given
+    out, an array of the grid's shape, it computes its steps there and
+    returns it."""
     return _power_exponent(_pair(a, b, pair), p, *_POWER_TYPE["Mp"], out)
 
 
-def heronian_mean(a, b, p, *, pair=None, out=None):
+def heronian_mean(a, b, p, *, pair=None):
     """H_p = ((a^p + (ab)^(p/2) + b^p)/3)^(1/p), H_0 = G."""
-    return _power_type_mean("Hp", p, a, b, pair=pair, out=out)
+    return _power_type_mean("Hp", p, a, b, pair=pair)
 
 
 # ---------------------------------------------------------------------------
@@ -485,33 +473,32 @@ def heronian_mean(a, b, p, *, pair=None, out=None):
 # ---------------------------------------------------------------------------
 
 
-def log_over_arithmetic(kind: "MeanKind", a, b, *, pair=None, out=None):
-    """u = log(M/A) elementwise, accurate in relative terms for every t; on
-    a grid given ``out=``, written there and returned."""
+def log_over_arithmetic(kind: "MeanKind", a, b, *, pair=None):
+    """u = log(M/A) elementwise, accurate in relative terms for every t."""
     pair = _pair(a, b, pair)
     tag = kind.tag
+    # + copies a quantity of the pair, which is shared and may be read-only
     if tag == "A":
-        out = _into(out, np.multiply, 0.0, pair.hi)
+        u = 0.0 * pair.hi
     elif tag == "G":
-        out = _into(out, np.positive, pair.log_g)
+        u = +pair.log_g
     elif tag == "H":  # H/A = (G/A)^2
-        out = _into(out, np.multiply, 2.0, pair.log_g)
+        u = 2.0 * pair.log_g
     elif tag == "P":  # P/A = sin(x)/x
-        out = _into(out, np.negative, _into(out, np.log1p, series.xoversin_minus_one(pair.x)))
+        u = -np.log1p(series.xoversin_minus_one(pair.x))
     elif tag == "X":
-        out = _into(out, np.positive, pair.xc)
+        u = +pair.xc
     elif tag == "L":  # L/A = 1/(1 + w)
-        out = _into(out, np.negative, _into(out, np.log1p, pair.w))
+        u = -np.log1p(pair.w)
     elif tag == "Y":
-        out = _into(out, np.add, _log_y_over_g(pair, out), pair.log_g)
+        u = _log_y_over_g(pair) + pair.log_g
     elif tag == "I":
-        out = _into(out, np.add, pair.w, pair.log_g)
+        u = pair.w + pair.log_g
     elif tag in _POWER_TYPE:
-        expo = _power_exponent(pair, kind.exponent, *_POWER_TYPE[tag], out)
-        out = _into(out, np.add, expo, pair.log_g)
+        u = _power_exponent(pair, kind.exponent, *_POWER_TYPE[tag]) + pair.log_g
     else:  # pragma: no cover
         raise DomainError(f"unknown mean kind {kind!r}")
-    return _ret(out, pair.scalar)
+    return _ret(u, pair.scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +593,7 @@ _KERNELS = {
 
 def mean_kernel(kind: MeanKind):
     """Two-argument array function implementing the kind; it takes the
-    prepared ``Pair(a, b)`` as the keyword ``pair`` too, and an array to
-    write its result into as ``out``."""
+    prepared ``Pair(a, b)`` as the keyword ``pair`` too."""
     if kind.tag in _POWER_TYPE:
         return partial(_power_type_mean, kind.tag, kind.exponent)
     return _KERNELS[kind.tag]

@@ -616,6 +616,18 @@ def _refined_by_unique(grid):
     return np.unique(np.concatenate([near, far, grid.ratios()]))
 
 
+#: The three stages that read a grid.
+_GRID_STAGES = pytest.mark.parametrize(
+    "stage",
+    [
+        lambda grid: bracket_best_exponent("X", "lower", 1e-3, grid),
+        lambda grid: chains.verify_and_probe(builtin_suite(), grid),
+        conjecture_scan,
+    ],
+    ids=["bracket", "verify", "conjecture"],
+)
+
+
 class TestGridSpec:
     def test_defaults(self):
         g = GridSpec()
@@ -672,15 +684,7 @@ class TestGridSpec:
         with pytest.raises(ConfigError, match=r"r_max\*1e4"):
             refined_ratios(GridSpec(r_max=1e306))
 
-    @pytest.mark.parametrize(
-        "stage",
-        [
-            lambda grid: bracket_best_exponent("X", "lower", 1e-3, grid),
-            lambda grid: chains.verify_and_probe(builtin_suite(), grid),
-            conjecture_scan,
-        ],
-        ids=["bracket", "verify", "conjecture"],
-    )
+    @_GRID_STAGES
     def test_a_grid_whose_a_overflows_is_refused(self, stage):
         # its largest a = r_max*b is 1e310: numpy's overflow warning was
         # raised here, under this suite's filter, in place of an error
@@ -691,6 +695,25 @@ class TestGridSpec:
         if stage is not conjecture_scan:  # which reads no refined grid
             with pytest.raises(ConfigError, match=r"r_max\*1e4\*b; r_max = 1e\+300, b = 100000\.0"):
                 stage(wide)
+
+    @_GRID_STAGES
+    def test_a_grid_reaching_dbl_max_runs_without_warnings(self, stage):
+        # numpy's 10**log10(stop) rounds past DBL_MAX, then the endpoint is
+        # set to stop: at the grid's last ratio (conjecture) or the refined
+        # grid's last far point, r_max*1e4 (bracket and verify).  Under this
+        # suite's filter an escaping overflow warning raises here.
+        chains._extra_ratios.cache_clear()
+        chains._refined_pair.cache_clear()
+        r_max = 1.7976931348623157e308 if stage is conjecture_scan else 1.7976931348623157e304
+        grid = GridSpec(r_max=r_max, n=50)
+        stage(grid)
+        with np.errstate(over="ignore"):
+            expected = np.geomspace(1.0 + grid.r_min, r_max, 50)
+        assert np.array_equal(grid.ratios().view(np.int64), expected.view(np.int64))
+        if stage is not conjecture_scan:  # which reads no refined grid
+            hi = chains._refined_pair(grid).hi
+            assert hi[-1] == r_max * 1e4
+            assert np.array_equal(hi, refined_ratios(grid))
 
     @pytest.mark.parametrize("r_min, r_max", SIX_GRIDS)
     def test_ratio_slices_are_geomspace_bitwise(self, r_min, r_max):
@@ -995,8 +1018,8 @@ class TestBracketing:
     def test_a_subset_pair_gives_the_grids_exponents(self, r_max):
         # a failing set's Pair gives E_s bit for bit as gathered from the
         # whole grid, in every branch (wide: |s| y > 700 on the 1e296 grid)
-        a = chains._refined_points(GridSpec(r_max=r_max))
         pair = chains._refined_pair(GridSpec(r_max=r_max))
+        a = pair.hi
         rng = np.random.default_rng(int(math.log10(r_max)))
         for s in (-8.0, -3e-9, 1e-8, 0.34375, 3.4375):
             whole = means.power_mean_exponent(a, 1.0, s, pair=pair)

@@ -253,12 +253,11 @@ class TestHarmonicOverTheFullRange:
     @example(2.841085417251251e307, 7.895939463771861e307)  # 2.07 ulp as 2 hi (lo/(hi + lo))
     @settings(max_examples=500, deadline=None)
     def test_finite_in_range_and_within_2_ulp(self, a, b):
-        # 2ab/(a + b) exactly, on the scalar path and the grid path (with and
-        # without a buffer to write into)
+        # 2ab/(a + b) exactly, on the scalar path and the grid path
         exact = 2 * Fraction(a) * Fraction(b) / (Fraction(a) + Fraction(b))
         ulp = Fraction(math.ulp(float(exact)))
         pair = np.array([a]), np.array([b])
-        for value in (M.harmonic(a, b), *M.harmonic(*pair), *M.harmonic(*pair, out=np.empty(1))):
+        for value in (M.harmonic(a, b), *M.harmonic(*pair)):
             assert math.isfinite(value)
             assert min(a, b) <= value <= max(a, b)
             assert abs(Fraction(float(value)) - exact) <= 2 * ulp, (a, b, value)
@@ -270,11 +269,10 @@ class TestIdentricOverTheFullRange:
     @example(1.5846e308, 1.7674e293)  # exp amplified an exponent near log u
     @settings(max_examples=300, deadline=None)
     def test_finite_in_range_and_within_4_ulp(self, a, b):
-        # on the scalar path and the grid path (with and without a buffer to
-        # write into)
+        # on the scalar path and the grid path
         ref = oracles.mp_means(a, b)["I"]
         pair = np.array([a]), np.array([b])
-        for value in (M.identric(a, b), *M.identric(*pair), *M.identric(*pair, out=np.empty(1))):
+        for value in (M.identric(a, b), *M.identric(*pair)):
             assert math.isfinite(value)
             assert min(a, b) <= value <= max(a, b)
             assert _ulps(value, ref) <= 4.0, (a, b, value)
@@ -292,12 +290,12 @@ class TestWidePairs:
     @settings(max_examples=300, deadline=None)
     def test_finite_in_range_and_within_budget(self, hi, lo):
         # hi >= max/2, so hi + lo overflows for the larger lo; on the scalar
-        # path and the grid path (with and without a buffer to write into)
+        # path and the grid path
         lo = min(lo, hi)
         ref = oracles.mp_means(hi, lo)
         pair = np.array([hi]), np.array([lo])
         for tag, kernel in self.KERNELS.items():
-            for value in (kernel(hi, lo), *kernel(*pair), *kernel(*pair, out=np.empty(1))):
+            for value in (kernel(hi, lo), *kernel(*pair)):
                 assert math.isfinite(value) and lo <= value <= hi, (tag, hi, lo, value)
                 assert _ulps(value, ref[tag]) <= self.BUDGET[tag], (tag, hi, lo, value)
 
@@ -311,13 +309,12 @@ class TestPowerTypeAndExponentialMeansOverTheFullRange:
     @settings(max_examples=300, deadline=None)
     @pytest.mark.filterwarnings("error")
     def test_finite_in_range_and_accurate(self, a, b):
-        # on the scalar path and the grid path (with and without a buffer to
-        # write into)
+        # on the scalar path and the grid path
         lo, hi = min(a, b), max(a, b)
         pair = np.array([a]), np.array([b])
 
         def values(kernel, *p):
-            return kernel(a, b, *p), *kernel(*pair, *p), *kernel(*pair, *p, out=np.empty(1))
+            return kernel(a, b, *p), *kernel(*pair, *p)
 
         ref = oracles.mp_means(a, b)
         for tag, kernel in (("X", M.x_mean), ("Y", M.y_mean)):
@@ -590,9 +587,8 @@ class TestBranchCompaction:
 
 
 class TestOutArgument:
-    # a grid kernel given out= writes its result there and returns out
+    # power_mean_exponent given out= writes its result there and returns out
     # itself, bit for bit what it returns without one
-    KINDS = TestBranchCompaction.KINDS
 
     @staticmethod
     def _grids():
@@ -607,21 +603,16 @@ class TestOutArgument:
         yield np.array([np.nextafter(r, to) for r in thresholds for to in (0.0, r, np.inf)]), 1.0
         yield TestBranchCompaction._grid()
 
-    @pytest.mark.parametrize("rel", [False, True], ids=["mean", "rel"])
-    def test_out_is_returned_and_matches_bitwise(self, rel):
-        def run(kind, a, b, pair, out):
-            if rel:
-                return M.log_over_arithmetic(kind, a, b, pair=pair, out=out)
-            return M.mean_kernel(kind)(a, b, pair=pair, out=out)
-
+    @pytest.mark.parametrize("p", [-3.0, 2.0, 5e-9, 1e-8, 1.5e-8, 350.0])
+    def test_out_is_returned_and_matches_bitwise(self, p):
+        # the p -> 0 limit below POWER_LIMIT_THRESHOLD and |p y| > 700 (at
+        # p = 350 the thresholds grid's last ratios, and y > 2 on the others)
         for a, b in self._grids():
-            shape = np.broadcast(a, b).shape
-            for kind in self.KINDS:
-                expected = run(kind, a, b, None, None)
-                out = np.full(shape, np.nan)  # every point must be written
-                got = run(kind, a, b, M.Pair(a, b), out)
-                assert got is out, kind
-                assert _bits(got).tolist() == _bits(expected).tolist(), kind
+            expected = M.power_mean_exponent(a, b, p)
+            out = np.full(np.broadcast(a, b).shape, np.nan)  # every point must be written
+            got = M.power_mean_exponent(a, b, p, pair=M.Pair(a, b), out=out)
+            assert got is out
+            assert _bits(got).tolist() == _bits(expected).tolist()
 
 
 class TestExponentsOncePerPair:

@@ -49,7 +49,17 @@ COMMANDS = {
     "emit-LXA-P-max1e300-300": ["emit", "L(X, A) - P", "300", "--grid-max", "1e300"],
     "eval-1e300-G-Y": ["eval", "--a", "1e300", "--b", "1", "G - Y"],
     "limit-x_gap_ratio": ["limit", "x_gap_ratio"],
+    # 10**log10(r_max) rounds past DBL_MAX at the last ratio
+    "conjecture-maxDBL_MAX-50": [
+        "conjecture", "--grid-max", "1.7976931348623157e308", "--points", "50",
+    ],
 }
+# each scalar kernel and the log-offset path, at a pair with a sum overflow
+# and a subnormal G and at a pair inside the series threshold
+for _a, _b in (("1.7e308", "5e-324"), ("1.5", "1")):
+    for _what in ("A", "G", "H", "L", "I", "P", "X", "Y", "Mp[2]", "Hp[0.5]", "log(X/A)"):
+        _stem = f"eval-{_a}-{_b}-{_what.replace('/', '_')}"
+        COMMANDS[_stem] = ["eval", "--a", _a, "--b", _b, _what]
 
 
 def main(argv=None) -> int:
