@@ -16,6 +16,7 @@ margins below -DEFAULT_MARGIN_GUARD as violations.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -70,6 +71,10 @@ class GridSpec:
     b: float = 1.0
 
     def __post_init__(self):
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise ConfigError(f"grid needs an integer n, got {self.n!r}") from None
         if not (self.n >= 2):
             raise ConfigError("grid needs n >= 2")
         if not (self.r_min > 0.0 and math.isfinite(self.r_min)):
@@ -914,16 +919,12 @@ _E_BOUND = 16.0
 
 
 class _Points(NamedTuple):
-    """Points of the refined grid that an order is decided on: their
-    indices (None for the whole grid), a, Pair and lines, and two buffers."""
+    """Points of the refined grid that an order is decided on: their y and
+    their two lines."""
 
-    index: np.ndarray | None
-    a: np.ndarray
-    pair: Pair
+    y: np.ndarray
     hold: np.ndarray
     fail: np.ndarray
-    e: np.ndarray
-    gap: np.ndarray
 
 
 class _OrderTest:
@@ -967,9 +968,9 @@ class _OrderTest:
         upper side every s <= 0 fails where fail.max() > 0 and every s >= 0
         holds where hold.max() < 0.
       - the witness.  The point that decide last found furthest past its
-        failing line is tried first, on a scalar Pair, where E_s has the
-        bits it has on the grid.  If it is a settled failure there, decide
-        fails the order: that point is past its hold line as well.
+        failing line is tried first, on its y alone, where E_s has the bits
+        it has on the grid.  If it is a settled failure there, decide fails
+        the order: that point is past its hold line as well.
       - the failing set.  At a point of the pair's y, log(M_s/G) is exactly
         log(cosh(s y))/s, which rises with s, and the computed E_s is within
         13.5 EPS y of it at every order, in each branch of
@@ -997,8 +998,7 @@ class _OrderTest:
         unsettled at the later midpoints, which all lie on f's holding side
         (each failing midpoint becomes the bracket's new end).  decide on
         them alone gives the whole grid's verdict, its None and its witness
-        (the first failing argmin), since a Pair of their a gives E_s bit
-        for bit as on the whole grid: each of its steps is elementwise.
+        (the first failing argmin), since E_s is computed elementwise from y.
         Each midpoint that fails on the set narrows it.  A set of more than
         half the grid is not kept, since gathering it would save little.
         The integer scan stays on the whole grid: its non-monotone check is
@@ -1013,8 +1013,8 @@ class _OrderTest:
             raise DomainError("target must evaluate positive on the grid")
         self.lower, self.guard = lower, margin_guard
         # the verdicts of every s <= 0 and every s >= 0 that the sign rule
-        # fixes, the witness (its failing line and its scalar Pair), and the
-        # points decided on: the whole grid, and the failing set
+        # fixes, the witness (its failing line and its y), and the points
+        # decided on: the whole grid, and the failing set
         self.signed, self.witness = (None, None), None
         self.whole = self.failing = None
         normal = pair.lo.min() >= 2.0**-1000 and pair.hi.max() <= 2.0**1000
@@ -1036,7 +1036,7 @@ class _OrderTest:
         t -= sign * math.log1p(-margin_guard)
         hold = t - slack
         t += slack
-        self.whole = _Points(None, self.a, pair, hold, t, np.empty_like(t), slack)
+        self.whole = _Points(pair.y, hold, t)
         if lower:
             self.signed = (True if hold.min() > 0.0 else None, False if t.min() < 0.0 else None)
         else:
@@ -1058,37 +1058,28 @@ class _OrderTest:
         stay unsettled at s; narrow: a failing s makes the failing set."""
         if points is None:
             return None
-        e = power_mean_exponent(points.a, self.b, s, pair=points.pair, out=points.e)
-        held = np.subtract(points.hold, e, out=points.gap)  # NaN settles nothing
+        e = power_mean_exponent(points.y, s)
+        held = points.hold - e  # NaN settles nothing
         if held.min() > 0.0 if self.lower else held.max() < 0.0:
             return True
-        missed = np.subtract(points.fail, e, out=points.gap)
+        missed = points.fail - e
         # argmin and argmax pick a NaN first, and a NaN settles nothing
         j = int(missed.argmin() if self.lower else missed.argmax())
         if not (missed[j] < 0.0 if self.lower else missed[j] > 0.0):
             return None
-        line = points.fail[j]
-        if points.index is not None:
-            j = int(points.index[j])
-        self.witness = line, Pair(self.a[j], self.b)
+        self.witness = points.fail[j], points.y[j]
         if narrow:
-            self._narrow(points, e)
+            self._narrow(points, held)
         return False
 
-    def _narrow(self, points: _Points, e) -> None:
-        """After an order failed on the points, with E there: the failing
-        set, of the points not settled held by more than 2 _E_BOUND EPS y."""
-        held = np.subtract(points.hold, e, out=points.gap)
-        cut = points.pair.y * ((1.0 if self.lower else -1.0) * 2.0 * _E_BOUND * _EPS)
+    def _narrow(self, points: _Points, held) -> None:
+        """After an order failed on the points, with hold - E there: the
+        failing set, of the points not settled held by more than
+        2 _E_BOUND EPS y."""
+        cut = points.y * ((1.0 if self.lower else -1.0) * 2.0 * _E_BOUND * _EPS)
         keep = np.flatnonzero(~(held > cut) if self.lower else ~(held < cut))
-        if 2 * keep.size > self.a.size:
-            return
-        index = keep if points.index is None else points.index[keep]
-        a = self.a[index]
-        self.failing = _Points(
-            index, a, Pair(a, self.b), points.hold[keep], points.fail[keep],
-            np.empty_like(a), np.empty_like(a),
-        )
+        if 2 * keep.size <= self.a.size:
+            self.failing = _Points(points.y[keep], points.hold[keep], points.fail[keep])
 
     def __call__(self, s: float, midpoint: bool = False) -> bool:
         """The predicate at order s.  midpoint: s is a bisection midpoint,
@@ -1099,8 +1090,8 @@ class _OrderTest:
         if s >= 0.0 and nonnegative is not None:
             return nonnegative
         if self.witness is not None:
-            line, pair = self.witness
-            missed = line - power_mean_exponent(pair.hi, pair.lo, s, pair=pair)
+            line, y = self.witness
+            missed = line - power_mean_exponent(y, s)
             if missed < 0.0 if self.lower else missed > 0.0:
                 return False
         points = (self.failing or self.whole) if midpoint else self.whole

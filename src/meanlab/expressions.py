@@ -337,9 +337,10 @@ class GridContext:
         return getattr(np, node.fn)(x)  # log or sqrt
 
     def nested(self, node: MeanCall, u, v):
-        """The mean of computed operands (as in ``L(X, A)``).  Its pair is
-        prepared for this call alone."""
-        self._guard(node, None, ~((np.asarray(u) > 0.0) & (np.asarray(v) > 0.0)))
+        """The mean of computed operands (as in ``L(X, A)``), which must be
+        positive and finite.  Its pair is prepared for this call alone."""
+        bad = ~((np.asarray(u) > 0.0) & (np.asarray(v) > 0.0) & np.isfinite(u) & np.isfinite(v))
+        self._guard(node, None, bad)
         return np.asarray(means.mean_kernel(node.kind)(u, v))
 
     def binop(self, node: BinOp, lhs, rhs):

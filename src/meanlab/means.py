@@ -30,9 +30,9 @@ w = y coth y - 1 >= 0, whence, with nothing cancelling,
 Both take truncated series below one threshold on t, ``SERIES_T_THRESHOLD``;
 the only other series is P's offset, x/sin x - 1 at every t.  A series or
 overflow branch is evaluated only on the points that take it; a scalar pair
-takes it whole.  Each kernel returns an array of its own; only
-:func:`power_mean_exponent` also takes ``out=``, an array to compute its
-steps in, so that the bracket, which asks for it on every order, reuses one.
+takes it whole.  Each kernel returns an array of its own.
+:func:`power_mean_exponent`, which the bracket asks for on every order,
+takes the pair's y alone, the one quantity that it reads.
 """
 
 from __future__ import annotations
@@ -61,13 +61,6 @@ _HALF_MAX = np.finfo(float).max / 2
 #: e^E overflows only above _LOG_MAX; _TINY is the smallest normal double.
 _LOG_MAX = math.log(np.finfo(float).max)
 _TINY = np.finfo(float).tiny
-
-
-def _into(out, ufunc, *args):
-    """ufunc(*args), written into out when one is given.  Without one it
-    passes no out keyword: an out=None keyword alone about triples the cost
-    of np.exp on a numpy scalar."""
-    return ufunc(*args) if out is None else ufunc(*args, out=out)
 
 
 def _piecewise(mask, values, fn, *args):
@@ -277,11 +270,8 @@ class Pair:
 
 def _minus_log_cosh(y):
     """-(y - log 2 + log1p(e^(-2y))) = log(G/A), for y > 1.  Most points of
-    a grid to large ratios take it, so it holds one temporary and writes
-    over y, a gathered copy."""
-    e = -2.0 * y
-    buf = e if isinstance(e, np.ndarray) else None
-    e = _into(buf, np.log1p, _into(buf, np.exp, e))
+    a grid to large ratios take it, so it writes over y, a gathered copy."""
+    e = np.log1p(np.exp(-2.0 * y))
     y -= math.log(2.0)
     y += e
     y *= -1.0
@@ -394,27 +384,26 @@ def y_mean(a, b, *, pair=None):
 _POWER_TYPE = {"Mp": (2.0, math.log(2.0), 2.0), "Hp": (4.0 / 3.0, math.log(3.0), 3.0)}
 
 
-def _power_exponent(pair, p, weight, asymptote, divisor, out=None):
-    """log(M/G) = log1p(weight sinh(p y/2)^2)/p of a power-type mean: weight
-    2 gives M_p, 4/3 the Heronian H_p.  Past |p y| = 700, where sinh
-    overflows, it is (|p y| - asymptote)/p; as p -> 0 it is p y^2/divisor.
-    Each step is written into out, when one is given."""
-    y = pair.y
+def _power_exponent(y, p, weight, asymptote, divisor):
+    """log(M/G) = log1p(weight sinh(p y/2)^2)/p of a power-type mean at the
+    points of a Pair's y: weight 2 gives M_p, 4/3 the Heronian H_p.  Past
+    |p y| = 700, where sinh overflows, it is (|p y| - asymptote)/p; as p -> 0
+    it is p y^2/divisor.  Each step is elementwise, so a point's value does
+    not depend on the others."""
     p = np.asarray(p, dtype=float)[()]  # a 0-d p as a numpy scalar, passed whole
     if p.ndim:
         p, y = np.broadcast_arrays(p, y)
     elif abs(p) < POWER_LIMIT_THRESHOLD:
-        return _into(out, np.divide, p * y * y, divisor)
+        return p * y * y / divisor
     with np.errstate(all="ignore"):
         # (p/2) y is (p y)/2 exactly except where p y overflows or |p| is
         # below POWER_LIMIT_THRESHOLD, points that are replaced below.
         # s * s, not s ** 2: on an array ** 2 is this product, but on a
         # scalar it calls pow, which can differ from it in the last bit
-        z = 0.5 * p * y if out is None else np.multiply(0.5 * p, y, out=out)
-        s = _into(out, np.sinh, z)
+        s = np.sinh(0.5 * p * y)
         s *= s
         s *= weight
-        out = _into(out, np.log1p, s)
+        out = np.log1p(s)
         out /= p
     # with one order the rounded |p| y rises with y: where it stays below 700
     # at the largest y, as on most grids, no point needs the mask
@@ -435,7 +424,7 @@ def _power_type_mean(tag, p, a, b, *, pair=None):
     if not np.isfinite(p).all():
         name = "power mean" if tag == "Mp" else "Heronian"
         raise DomainError(f"{name} exponent must be finite")
-    expo, anchor = _power_exponent(pair, p, *_POWER_TYPE[tag]), pair.g
+    expo, anchor = _power_exponent(pair.y, p, *_POWER_TYPE[tag]), pair.g
     # where e^E overflows or G is subnormal, M = G e^E is hi e^(E - y): G = hi e^(-y).
     # The extremes tell whether any point is far, for less than the mask costs.
     top = expo.max(initial=-math.inf) if isinstance(expo, np.ndarray) else expo
@@ -453,12 +442,11 @@ def power_mean(a, b, p, *, pair=None):
     return _power_type_mean("Mp", p, a, b, pair=pair)
 
 
-def power_mean_exponent(a, b, p, *, pair=None, out=None):
-    """log(M_p/G) for a finite scalar p: the exponent that power_mean raises,
-    with the same bits (0 where hi == lo, where M_p is hi itself).  Given
-    out, an array of the grid's shape, it computes its steps there and
-    returns it."""
-    return _power_exponent(_pair(a, b, pair), p, *_POWER_TYPE["Mp"], out)
+def power_mean_exponent(y, p):
+    """log(M_p/G) at the points of a Pair's y = log(hi/lo)/2, for a finite
+    scalar p: the exponent that power_mean raises, with the same bits (0
+    where y == 0, where M_p is hi itself)."""
+    return _power_exponent(y, p, *_POWER_TYPE["Mp"])
 
 
 def heronian_mean(a, b, p, *, pair=None):
@@ -495,7 +483,7 @@ def log_over_arithmetic(kind: "MeanKind", a, b, *, pair=None):
     elif tag == "I":
         u = pair.w + pair.log_g
     elif tag in _POWER_TYPE:
-        u = _power_exponent(pair, kind.exponent, *_POWER_TYPE[tag]) + pair.log_g
+        u = _power_exponent(pair.y, kind.exponent, *_POWER_TYPE[tag]) + pair.log_g
     else:  # pragma: no cover
         raise DomainError(f"unknown mean kind {kind!r}")
     return _ret(u, pair.scalar)

@@ -160,6 +160,17 @@ class TestVerifyChain:
         assert not report.passed
         assert report.error is not None
 
+    def test_a_nested_mean_of_an_overflowing_operand_is_an_eval_error(self):
+        # A*1e300 is +inf from a = 1e8: the nested mean's guard reports it
+        # as an EvalError at the first such pair, in the chain's report
+        chain = InequalityChain("u", ("G", "L(A*1e300, G)"), "user")
+        [report] = chains.verify_chains([chain], GridSpec(r_max=1e10, n=100))
+        assert not report.passed and not report.links
+        assert report.error == (
+            "invalid operand in subexpression 'L((A * 1e+300), G)'"
+            " at pair (385352913.86537427, 1.0)"
+        )
+
     def test_eval_error_is_the_whole_grids_first(self, monkeypatch):
         # the error is the one evaluating the members one after another over
         # the whole grid raises, however the grid is chunked
@@ -646,6 +657,16 @@ class TestGridSpec:
         with pytest.raises(ConfigError):
             GridSpec(b=-1.0)
 
+    @pytest.mark.parametrize("n", [2.5, 1e4, "100"])
+    def test_validation_needs_an_integer_n(self, n):
+        # a float n would reach np.arange: 2.5 gives 3 ratios, and the
+        # chunked stages raise TypeError
+        with pytest.raises(ConfigError, match="integer n"):
+            GridSpec(n=n)
+
+    def test_a_numpy_integer_n_is_an_integer(self):
+        assert GridSpec(n=np.int64(50)).ratios().size == 50
+
     def test_refined_ratios_extend_both_ends(self):
         g = GridSpec(n=100)
         r = refined_ratios(g)
@@ -875,8 +896,8 @@ class TestBracketing:
         # flips on either side
         real = chains.power_mean_exponent
 
-        def shrunk(a, b, p, **kw):
-            e = real(a, b, p, **kw)
+        def shrunk(y, p):
+            e = real(y, p)
             return e - math.log(10.0) if p == 3.0 else e
 
         monkeypatch.setattr(chains, "power_mean_exponent", shrunk)
@@ -925,7 +946,7 @@ class TestBracketing:
         got = bracket_best_exponent("X", "lower", 1e-3, margin_guard=guard)
         assert exact_orders == [s]
         # every order on the exact path alone gives the same bracket
-        unsettled = lambda a, b, p, **kw: np.full(np.shape(a), np.nan)
+        unsettled = lambda y, p: np.full(np.shape(y), np.nan)
         monkeypatch.setattr(chains, "power_mean_exponent", unsettled)
         assert bracket_best_exponent("X", "lower", 1e-3, margin_guard=guard) == got
         assert len(exact_orders) > 17
@@ -984,11 +1005,11 @@ class TestBracketing:
         verdicts = Counter()
 
         def witness(test):
-            return None if test.witness is None else (test.witness[0], float(test.witness[1].hi))
+            return None if test.witness is None else (test.witness[0], float(test.witness[1]))
 
         def checking(test, s, points, narrow=False):
             got = real(test, s, points, narrow)
-            if points is not None and points.index is not None:
+            if points is not None and points is not test.whole:
                 on_set = witness(test)
                 assert real(test, s, test.whole) == got, s
                 assert witness(test) == on_set, s
@@ -1008,7 +1029,7 @@ class TestBracketing:
         h = np.geomspace(1.0 + 5e-13, 2.0**998, 300)
         pair = means.Pair(h, 1.0 / h)
         for s in (-8.0, -3.5, -1e-8, -3e-9, 0.0, 3e-9, 1e-8, 1.5e-8, 0.34375, 2.75, 8.0):
-            got = means.power_mean_exponent(pair.hi, pair.lo, s, pair=pair)
+            got = means.power_mean_exponent(pair.y, s)
             with mpmath.workdps(100):
                 for e, y in zip(got, pair.y):
                     exact = mpmath.log(mpmath.cosh(s * mpmath.mpf(y))) / s if s else 0
@@ -1016,17 +1037,27 @@ class TestBracketing:
 
     @pytest.mark.parametrize("r_max", [1e8, 1e12, 1e296])
     def test_a_subset_pair_gives_the_grids_exponents(self, r_max):
-        # a failing set's Pair gives E_s bit for bit as gathered from the
-        # whole grid, in every branch (wide: |s| y > 700 on the 1e296 grid)
-        pair = chains._refined_pair(GridSpec(r_max=r_max))
-        a = pair.hi
+        # a failing set's gathered y gives E_s bit for bit as gathered from
+        # the whole grid, in every branch (wide: |s| y > 700 on the 1e296 grid)
+        y = chains._refined_pair(GridSpec(r_max=r_max)).y
         rng = np.random.default_rng(int(math.log10(r_max)))
         for s in (-8.0, -3e-9, 1e-8, 0.34375, 3.4375):
-            whole = means.power_mean_exponent(a, 1.0, s, pair=pair)
+            whole = means.power_mean_exponent(y, s)
             for _ in range(20):
-                index = np.sort(rng.choice(a.size, rng.integers(1, a.size // 2), replace=False))
-                sub = means.power_mean_exponent(a[index], 1.0, s, pair=means.Pair(a[index], 1.0))
-                assert np.array_equal(sub, whole[index]), s
+                index = np.sort(rng.choice(y.size, rng.integers(1, y.size // 2), replace=False))
+                sub = means.power_mean_exponent(y[index], s)
+                assert np.array_equal(sub.view(np.int64), whole[index].view(np.int64)), s
+
+    @pytest.mark.parametrize("r_max", [1e8, 1e12, 1e296])
+    def test_one_points_y_gives_the_grids_exponent(self, r_max):
+        # the witness is decided on its y alone, a numpy scalar: E_s there
+        # has the bits it has on the whole grid, in every branch (p -> 0 at
+        # -3e-9, wide at 350)
+        y = chains._refined_pair(GridSpec(r_max=r_max)).y
+        for s in (-3e-9, 1e-8, 0.34375, 350.0):
+            whole = means.power_mean_exponent(y, s)
+            single = np.array([means.power_mean_exponent(y[j], s) for j in range(y.size)])
+            assert np.array_equal(single.view(np.int64), whole.view(np.int64)), s
 
     def test_searches_on_a_grid_share_one_prepared_pair(self):
         grid = GridSpec(n=500)
@@ -1058,9 +1089,9 @@ class TestBracketing:
         calls = []  # (points, order) of each kernel call
         whole = refined_ratios(GridSpec()).size
 
-        def counting(a, b, p, **kw):
-            calls.append((np.size(a), p))
-            return real(a, b, p, **kw)
+        def counting(y, p):
+            calls.append((np.size(y), p))
+            return real(y, p)
 
         monkeypatch.setattr(chains, "power_mean_exponent", counting)
         for (target, side), passes in self.KERNEL_PASSES.items():

@@ -342,9 +342,9 @@ class TestPowerTypeAndExponentialMeansOverTheFullRange:
     def test_power_exponent_has_the_sign_of_the_order(self, p):
         # the bracket fixes the verdicts of every order of one sign from this
         ratios = np.array(oracles.FULL_RANGE)
-        exponents = [*(M.power_mean_exponent(r, 1.0, p) for r in ratios),
-                     *M.power_mean_exponent(ratios, 1.0, p),
-                     *M.power_mean_exponent(1.0 / ratios, 1.0, p)]
+        exponents = [*(M.power_mean_exponent(M.Pair(r, 1.0).y, p) for r in ratios),
+                     *M.power_mean_exponent(M.Pair(ratios, 1.0).y, p),
+                     *M.power_mean_exponent(M.Pair(1.0 / ratios, 1.0).y, p)]
         if p <= 0.0:
             assert all(e <= 0.0 for e in exponents), (p, exponents)
         if p >= 0.0:
@@ -584,35 +584,6 @@ class TestBranchCompaction:
             for fn, p in ((M.power_mean, 2.0), (M.heronian_mean, 0.5)):
                 scalars = [fn(float(x), float(y), p) for x, y in zip(a, b)]
                 assert _bits(fn(a, b, p)).tolist() == _bits(scalars).tolist(), (fn.__name__, far)
-
-
-class TestOutArgument:
-    # power_mean_exponent given out= writes its result there and returns out
-    # itself, bit for bit what it returns without one
-
-    @staticmethod
-    def _grids():
-        yield np.geomspace(1.0 + 1e-6, 1e8, 10_000), 1.0  # the default grid
-        yield np.geomspace(1.0 + 1e-15, 1e300, 10_000), 1.0
-        # both sides of t = SERIES_T_THRESHOLD, u = 1e15, y = 1 and
-        # |3 y| = 700, then the branch-compaction grid, which has a == b and
-        # swapped pairs
-        t = M.SERIES_T_THRESHOLD
-        thresholds = [(1 + t) / (1 - t), 1 + 1e15, math.exp(2.0)]
-        thresholds.append(math.exp(1400.0 / 3.0))
-        yield np.array([np.nextafter(r, to) for r in thresholds for to in (0.0, r, np.inf)]), 1.0
-        yield TestBranchCompaction._grid()
-
-    @pytest.mark.parametrize("p", [-3.0, 2.0, 5e-9, 1e-8, 1.5e-8, 350.0])
-    def test_out_is_returned_and_matches_bitwise(self, p):
-        # the p -> 0 limit below POWER_LIMIT_THRESHOLD and |p y| > 700 (at
-        # p = 350 the thresholds grid's last ratios, and y > 2 on the others)
-        for a, b in self._grids():
-            expected = M.power_mean_exponent(a, b, p)
-            out = np.full(np.broadcast(a, b).shape, np.nan)  # every point must be written
-            got = M.power_mean_exponent(a, b, p, pair=M.Pair(a, b), out=out)
-            assert got is out
-            assert _bits(got).tolist() == _bits(expected).tolist()
 
 
 class TestExponentsOncePerPair:

@@ -40,6 +40,11 @@ COMMANDS = {
     "bracket-I-1e-6": ["bracket", "I", "1e-6"],
     "bracket-PX-1e-6": ["bracket", "(P+X)/2", "1e-6"],
     "bracket-X-1e-15": ["bracket", "X", "1e-15"],
+    # midpoints in the p -> 0 branch, two power-type targets, and an error
+    "bracket-GXG3e-9-1e-9": ["bracket", "G*(X/G)^0.000000003", "1e-9"],
+    "bracket-Mp3.5-1e-9": ["bracket", "Mp[3.5]", "1e-9"],
+    "bracket-Hp0.5-1e-9": ["bracket", "Hp[0.5]", "1e-9"],
+    "bracket-H_2-1e-3": ["bracket", "H/2", "1e-3"],
     # grids smaller than the refined grid's 200 extra points
     "verify-2": ["verify", "--points", "2"],
     "verify-10": ["verify", "--points", "10"],
@@ -48,6 +53,9 @@ COMMANDS = {
     "emit-x_gap_ratio-300": ["emit", "x_gap_ratio", "300"],
     "emit-LXA-P-max1e300-300": ["emit", "L(X, A) - P", "300", "--grid-max", "1e300"],
     "eval-1e300-G-Y": ["eval", "--a", "1e300", "--b", "1", "G - Y"],
+    # a nested mean whose operand overflows to +inf
+    "eval-nested-overflow": ["eval", "--a", "10", "--b", "1", "L(A*1e308, G)"],
+    "emit-nested-overflow": ["emit", "L(A*1e300, G)", "5", "--grid-max", "1e10"],
     "limit-x_gap_ratio": ["limit", "x_gap_ratio"],
     # 10**log10(r_max) rounds past DBL_MAX at the last ratio
     "conjecture-maxDBL_MAX-50": [
