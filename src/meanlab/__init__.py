@@ -23,7 +23,6 @@ from .chains import (
 )
 from .errors import (
     ConfigError,
-    DegeneratePairError,
     DomainError,
     EvalError,
     ExtrapolationError,
@@ -35,18 +34,12 @@ from .errors import (
 from .expressions import GridContext, MeanExpr, evaluate, parse_expr, to_text
 from .means import (
     MeanKind,
-    MeanVector,
-    ParamPoint,
-    PositivePair,
     arithmetic,
-    eval_all,
-    eval_mean,
     geometric,
     harmonic,
     heronian_mean,
     identric,
     logarithmic,
-    param_point,
     power_mean,
     seiffert,
     x_mean,
@@ -77,7 +70,6 @@ __all__ = [
     "sharpness_probe",
     "verify_chain",
     "ConfigError",
-    "DegeneratePairError",
     "DomainError",
     "EvalError",
     "ExtrapolationError",
@@ -91,18 +83,12 @@ __all__ = [
     "parse_expr",
     "to_text",
     "MeanKind",
-    "MeanVector",
-    "ParamPoint",
-    "PositivePair",
     "arithmetic",
-    "eval_all",
-    "eval_mean",
     "geometric",
     "harmonic",
     "heronian_mean",
     "identric",
     "logarithmic",
-    "param_point",
     "power_mean",
     "seiffert",
     "x_mean",

@@ -98,14 +98,12 @@ class GridSpec:
         exact endpoints), on the index range only."""
         start, stop = 1.0 + self.r_min, self.r_max
         log_start, log_stop = np.log10(start), np.log10(stop)
-        div = self.n - 1
-        step = (log_stop - log_start) / div
+        # numpy scales by this step, or where it is 0 divides by n - 1
+        # first; it is 0 only where both endpoints have one log10 (underflow
+        # would need n > 1e291), and then both give zeros
+        step = (log_stop - log_start) / (self.n - 1)
         y = np.arange(lo, hi, dtype=float)
-        if step == 0:  # numpy's order for a step that underflows
-            y /= div
-            y *= log_stop - log_start
-        else:
-            y *= step
+        y *= step
         y += log_start
         if hi == self.n:
             y[-1] = log_stop
@@ -932,41 +930,50 @@ class _OrderTest:
     target everywhere on the refined grid: _rel_margins > -margin_guard,
     with M_s from power_mean.
 
-    With T = log(tv/G) and E_s = log(M_s/G) (power_mean_exponent, the bits
-    power_mean raises to M_s = G e^E_s), and margin_guard in [0, 1/2], the
-    margin clears the guard where +-(T - E_s) > log1p(-margin_guard), + on
-    the lower side.  That is exact in real arithmetic; what the computed
-    margin adds to it, in units of EPS, is at most
+    With T = log(tv/G) and E_s = log(M_s/G) (power_mean_exponent), and
+    margin_guard in [0, 1/2], the margin clears the guard where
+    +-(T - E_s) > log1p(-margin_guard), + on the lower side.  That is exact
+    in real arithmetic; what the computed margin adds to it, in units of
+    EPS, is at most
       - 0.5 for tv/G and 4 |T| for the log of it;
-      - 4 for exp(E_s) and 0.5 for its product with G (E_s itself has the
-        same bits on both paths);
+      - 4 for exp(E_s) and 0.5 for its product with G: power_mean raises
+        the same bits of E_s to M_s = G e^E_s;
+      - on the wide branch |s y| > 700, where power_mean is instead
+        hi e^(-log 2/s) for s > 0 and lo e^(-log 2/s) for s < 0, as much for
+        that exp and product, plus what y, G and E_s carry from the exact
+        values: 4 y + 0.25 for y = log(hi/lo)/2, 1.5 for G and
+        0.5 |E_s| + 0.01 for E_s, under 4.6 |E_s| + 2, as |E_s| >= 0.999 y
+        there.  A point within 1 of its line has |E_s| <= |T| + 2, and
+        |T| > 85, since y > 700/8 at the orders of BRACKET_SEARCH_RANGE; so
+        this adds under 5 (1 + |T|);
       - 1 for the margin: near the guard tv - M_s is exact (Sterbenz, as
         tv/M_s is in [1/2, 2]), and the one division moves the margin by
         EPS/2 relative, or at most EPS in log space where margin_guard <= 1/2;
       - 1 + |T| for log1p(-margin_guard) and the two roundings of a line;
-    8 (1 + |T|) in all, with no |E_s| term, since E_s is compared with a
-    line, exactly, and never subtracted.  A point is settled when it clears
-    its line by twice that, _LOG_SLACK EPS (1 + |T|).  The model needs M_s,
-    which lies in [lo, hi], and tv/G to be normal doubles; grids and guards
-    outside it, and orders where some point is not settled, take the exact
-    predicate.  (numpy's float64 exp, log, sinh and log1p are taken to be
-    within 4 ulp; against mpmath they measure under 1 ulp on 10 000 points
-    each, with numpy 2.4 on AVX-512.)
+    8 (1 + |T|) in all off the wide branch, with no |E_s| term, since E_s is
+    compared with a line, exactly, and never subtracted, and 13 (1 + |T|) on
+    it.  A point is settled when it clears its line by twice the first,
+    _LOG_SLACK EPS (1 + |T|).  The model needs M_s, which lies in [lo, hi],
+    and tv/G to be normal doubles; grids and guards outside it, and orders
+    where some point is not settled, take the exact predicate.  (numpy's
+    float64 exp, log, sinh and log1p are taken to be within 4 ulp; against
+    mpmath they measure under 1 ulp on 10 000 points each, with numpy 2.4
+    on AVX-512.)
 
     decide holds an order where every hold - E_s clears 0 on the holding
     side, and fails it where some fail - E_s is past 0 on the failing side;
     hold lies on the holding side of fail at every point.  Three rules give
     decide's verdict for fewer whole-grid passes of the kernel:
       - the sign rule.  E_s has the sign of s, bit for bit: log1p of the
-        nonnegative weight sinh(p y/2)^2 is >= 0, the wide branch's
-        |p y| - asymptote is positive, and each is divided by p; the p -> 0
-        branch p y^2/divisor has the sign of p; E_0 = 0.  Rounding is
-        monotone, so line - E_s >= line where E_s <= 0 and <= line where
-        E_s >= 0.  On the lower side, then, every s <= 0 holds where
-        hold.min() > 0, and every s >= 0 fails where fail.min() < 0 (hold
-        <= fail < 0 at that point, so decide does not hold it first); on the
-        upper side every s <= 0 fails where fail.max() > 0 and every s >= 0
-        holds where hold.max() < 0.
+        nonnegative weight sinh(p y/2)^2 is >= 0 and is divided by p; the
+        wide branch's copysign(y, p) - asymptote/p has the sign of p, as
+        asymptote/|p| < y there; the p -> 0 branch p y^2/divisor has the
+        sign of p; E_0 = 0.  Rounding is monotone, so line - E_s >= line
+        where E_s <= 0 and <= line where E_s >= 0.  On the lower side, then,
+        every s <= 0 holds where hold.min() > 0, and every s >= 0 fails
+        where fail.min() < 0 (hold <= fail < 0 at that point, so decide does
+        not hold it first); on the upper side every s <= 0 fails where
+        fail.max() > 0 and every s >= 0 holds where hold.max() < 0.
       - the witness.  The point that decide last found furthest past its
         failing line is tried first, on its y alone, where E_s has the bits
         it has on the grid.  If it is a settled failure there, decide fails
@@ -983,8 +990,9 @@ class _OrderTest:
             relative to w, at most 8.5 EPS |E_s| after log1p (w/(1 + w) <=
             log1p(w)); log1p and the division add 4.5 EPS |E_s|; and
             |E_s| <= y, since M_s lies in [lo, hi].
-          - |s y| > 700: (|s y| - log 2)/s drops log1p(e^(-2|s y|)), below
-            e^-1400, and its three roundings add under 2 EPS y (|s| > 1).
+          - |s y| > 700: copysign(y, s) - log 2/s drops
+            log1p(e^(-2|s y|))/s, below e^-1400, and its two roundings add
+            under 1 EPS y.
           - |s| < POWER_LIMIT_THRESHOLD: s y^2/2 is log(cosh(s y))/s to
             within |s|^3 y^4/12 <= 0.13 EPS y, and its rounding is far less.
         So at every order s on the holding side of an order f (s < f on

@@ -11,10 +11,6 @@ class DomainError(MeanLabError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class DegeneratePairError(DomainError):
-    """The pair has a == b, so the (x, y) parametrization is undefined."""
-
-
 class SeriesDomainError(DomainError):
     """Series argument outside the convergence interval (or at a pole)."""
 

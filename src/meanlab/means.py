@@ -1,11 +1,8 @@
 """The ten bivariate means, evaluated without catastrophic cancellation.
 
-Two layers live here:
-
-* array kernels (``arithmetic`` .. ``heronian_mean``) that accept floats or
-  numpy arrays elementwise and are total on a == b via continuity limits;
-* a typed scalar facade (:class:`PositivePair`, :class:`MeanKind`,
-  :func:`eval_mean`, :func:`eval_all`, :func:`param_point`).
+Each kernel (``arithmetic`` .. ``heronian_mean``) accepts floats or numpy
+arrays elementwise and is total on a == b via continuity limits; a
+:class:`MeanKind` names one, and :func:`mean_kernel` gives its kernel.
 
 A kernel's pairs are validated and canonicalized to hi >= lo once, in a
 :class:`Pair`, so symmetry is exact.  Kernels called on the same pairs can
@@ -38,13 +35,13 @@ takes the pair's y alone, the one quantity that it reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import series
-from .errors import DegeneratePairError, DomainError
+from .errors import DomainError
 
 #: t below which the exponents x cot x - 1 and y coth y - 1 take their
 #: series (radius pi), within a few ulp up to x ~ 1.07 and y ~ 1.35 here.
@@ -384,12 +381,24 @@ def y_mean(a, b, *, pair=None):
 _POWER_TYPE = {"Mp": (2.0, math.log(2.0), 2.0), "Hp": (4.0 / 3.0, math.log(3.0), 3.0)}
 
 
+def _wide(y, p):
+    """Where |p y| > 700, past which sinh(p y/2) overflows, at the points of
+    a Pair's y, or None where no point is: with one order the rounded |p| y
+    rises with y, so the largest y tells, as on most grids, for less than
+    the mask costs.  A product p y that overflows is wide."""
+    top = y.max(initial=0.0) if isinstance(y, np.ndarray) else y
+    if p.ndim or abs(float(p)) * float(top) > 700.0:  # Python floats overflow silently
+        with np.errstate(over="ignore"):
+            return np.abs(p * y) > 700.0
+    return None
+
+
 def _power_exponent(y, p, weight, asymptote, divisor):
     """log(M/G) = log1p(weight sinh(p y/2)^2)/p of a power-type mean at the
     points of a Pair's y: weight 2 gives M_p, 4/3 the Heronian H_p.  Past
-    |p y| = 700, where sinh overflows, it is (|p y| - asymptote)/p; as p -> 0
-    it is p y^2/divisor.  Each step is elementwise, so a point's value does
-    not depend on the others."""
+    |p y| = 700, where sinh overflows, it is copysign(y, p) - asymptote/p,
+    which cannot overflow; as p -> 0 it is p y^2/divisor.  Each step is
+    elementwise, so a point's value does not depend on the others."""
     p = np.asarray(p, dtype=float)[()]  # a 0-d p as a numpy scalar, passed whole
     if p.ndim:
         p, y = np.broadcast_arrays(p, y)
@@ -405,12 +414,9 @@ def _power_exponent(y, p, weight, asymptote, divisor):
         s *= weight
         out = np.log1p(s)
         out /= p
-    # with one order the rounded |p| y rises with y: where it stays below 700
-    # at the largest y, as on most grids, no point needs the mask
-    top = y.max(initial=0.0) if isinstance(y, np.ndarray) else y
-    if p.ndim or abs(p) * top > 700.0:
-        wide = np.abs(p * y) > 700.0
-        out = _piecewise(wide, out, lambda y, p: (np.abs(p * y) - asymptote) / p, y, p)
+    wide = _wide(y, p)
+    if wide is not None:
+        out = _piecewise(wide, out, lambda y, p: np.copysign(y, p) - asymptote / p, y, p)
     if p.ndim:
         out = _piecewise(
             np.abs(p) < POWER_LIMIT_THRESHOLD, out, lambda p, y: p * y * y / divisor, p, y
@@ -432,6 +438,14 @@ def _power_type_mean(tag, p, a, b, *, pair=None):
     if top > _LOG_MAX or low < _TINY:
         far = (expo > _LOG_MAX) | (anchor < _TINY)
         expo, anchor = np.where(far, expo - pair.y, expo), np.where(far, pair.hi, anchor)
+    # past |p y| = 700, M is the end it tends to, hi for p > 0 and lo for
+    # p < 0, times e^(-asymptote/p): for M_p, log(M/hi) is
+    # (log1p(e^(-2 p y)) - log 2)/p, and e^(-1400) is far below an ulp
+    wide = _wide(pair.y, p[()])
+    if wide is not None:
+        with np.errstate(divide="ignore"):  # p = 0 in an array of orders
+            expo = np.where(wide, -_POWER_TYPE[tag][1] / p, expo)
+        anchor = np.where(wide, np.where(p > 0.0, pair.hi, pair.lo), anchor)
     m = np.exp(expo)
     m *= anchor
     return _ret(_on_diagonal(pair, m), pair.scalar and not p.ndim)
@@ -489,46 +503,6 @@ def log_over_arithmetic(kind: "MeanKind", a, b, *, pair=None):
     return _ret(u, pair.scalar)
 
 
-# ---------------------------------------------------------------------------
-# Typed facade
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PositivePair:
-    """An unordered pair of positive reals; the argument of every mean."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        for v in (self.a, self.b):
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise DomainError(f"pair entries must be positive finite reals, got {v!r}")
-
-    @property
-    def t(self) -> float:
-        """(a - b)/(a + b), signed; always in (-1, 1)."""
-        return math.copysign(float(Pair(self.a, self.b).t), self.a - self.b)
-
-
-@dataclass(frozen=True)
-class ParamPoint:
-    """Trigonometric/hyperbolic coordinates of a pair with a != b."""
-
-    x: float  # arcsin(t) in (0, pi/2)
-    y: float  # artanh(t) = log(a/b)/2 > 0
-
-
-def param_point(pair: PositivePair) -> ParamPoint:
-    """Coordinates satisfying cos(x) = G/A and cosh(y) = A/G exactly: the
-    x and y of :class:`Pair`."""
-    if pair.a == pair.b:
-        raise DegeneratePairError("x, y are undefined at a == b; use continuity limits")
-    shared = Pair(pair.a, pair.b)
-    return ParamPoint(x=float(shared.x), y=float(shared.y))
-
-
 _PLAIN_TAGS = ("A", "G", "H", "L", "I", "P", "X", "Y")
 
 
@@ -566,7 +540,7 @@ class MeanKind:
 
 PLAIN_KINDS = {tag: MeanKind(tag) for tag in _PLAIN_TAGS}
 
-#: The plain means' kernels, in the order of MeanVector's fields.
+#: The plain means' kernels.
 _KERNELS = {
     "A": arithmetic,
     "G": geometric,
@@ -585,33 +559,3 @@ def mean_kernel(kind: MeanKind):
     if kind.tag in _POWER_TYPE:
         return partial(_power_type_mean, kind.tag, kind.exponent)
     return _KERNELS[kind.tag]
-
-
-def eval_mean(kind: MeanKind, pair: PositivePair) -> float:
-    return float(mean_kernel(kind)(pair.a, pair.b))
-
-
-@dataclass(frozen=True)
-class MeanVector:
-    """All eight named means of one pair plus its parametrization."""
-
-    pair: PositivePair
-    point: ParamPoint | None
-    arithmetic: float
-    geometric: float
-    harmonic: float
-    logarithmic: float
-    identric: float
-    seiffert: float
-    x_mean: float
-    y_mean: float
-
-    def as_dict(self) -> dict[str, float]:
-        means = fields(self)[2:]  # in the order of _KERNELS
-        return {tag: getattr(self, f.name) for tag, f in zip(_KERNELS, means)}
-
-
-def eval_all(pair: PositivePair) -> MeanVector:
-    point = None if pair.a == pair.b else param_point(pair)
-    shared = Pair(pair.a, pair.b)
-    return MeanVector(pair, point, *(fn(pair.a, pair.b, pair=shared) for fn in _KERNELS.values()))

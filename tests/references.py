@@ -17,8 +17,7 @@ expansions.  The definitions here are what the tests hold those against:
 
   where B_2n are the even-indexed Bernoulli numbers (signed where the
   expansion alternates: the hyperbolic ones need B_2n = (-1)^(n+1) |B_2n|);
-* three small entry points: the Cusa margin, a typed-pair expression
-  evaluator and a chain lookup by id;
+* two small entry points: the Cusa margin and a chain lookup by id;
 * the plain bracket: every order decided on the whole grid.
 
 They build on the library's own pieces (Pair, the series kernels, Horner
@@ -46,11 +45,10 @@ from meanlab.chains import (
     builtin_suite,
 )
 from meanlab.errors import DomainError, NonMonotonePredicateError, SeriesDomainError
-from meanlab.expressions import MeanExpr, evaluate, parse_expr
+from meanlab.expressions import parse_expr
 from meanlab.means import (
     SERIES_T_THRESHOLD,
     Pair,
-    PositivePair,
     _piecewise,
     _ret,
     arithmetic,
@@ -303,11 +301,6 @@ def cusa_margin(x):
     s = series.xoversin_minus_one(xs)
     out = s / (1.0 + s) - (2.0 / 3.0) * np.sin(0.5 * xs) ** 2
     return float(out) if xs.ndim == 0 else out
-
-
-def eval_expr(expr: MeanExpr, pair: PositivePair) -> float:
-    """Spec-shaped scalar entry point."""
-    return evaluate(expr, pair.a, pair.b)
 
 
 def get_chain(chain_id: str) -> InequalityChain:

@@ -21,10 +21,9 @@ from meanlab.expressions import (
     parse_expr,
     to_text,
 )
-from meanlab.means import MeanKind, PositivePair
+from meanlab.means import MeanKind
 
 import oracles
-from references import eval_expr
 
 
 def _ev(text, a=4.0, b=1.0):
@@ -34,6 +33,7 @@ def _ev(text, a=4.0, b=1.0):
 class TestParsing:
     def test_carlson_bound(self):
         assert _ev("(2*G + A)/3") == pytest.approx(6.5 / 3.0, rel=1e-15)
+        assert _ev("(P+X)/2") == pytest.approx((oracles.P_4_1 + oracles.X_4_1) / 2, rel=1e-14)
 
     def test_nested_mean(self):
         got = _ev("L(X, A)")
@@ -110,10 +110,6 @@ class TestParsing:
 
 
 class TestEvaluation:
-    def test_eval_expr_typed_entry(self):
-        v = eval_expr(parse_expr("(P+X)/2"), PositivePair(4.0, 1.0))
-        assert v == pytest.approx((oracles.P_4_1 + oracles.X_4_1) / 2, rel=1e-14)
-
     def test_array_evaluation(self):
         a = np.array([2.0, 4.0, 9.0])
         got = evaluate(parse_expr("G"), a, 1.0)

@@ -61,6 +61,15 @@ COMMANDS = {
     "conjecture-maxDBL_MAX-50": [
         "conjecture", "--grid-max", "1.7976931348623157e308", "--points", "50",
     ],
+    # power-type means past |p y| = 700, where p y can overflow
+    "eval-1e308-1e-308-Mp[1e308]": ["eval", "--a", "1e308", "--b", "1e-308", "Mp[1e308]"],
+    "eval-1e308-1e-308-Mp[-1e308]": ["eval", "--a", "1e308", "--b", "1e-308", "Mp[-1e308]"],
+    "eval-1e308-1e-308-Hp[1e308]": ["eval", "--a", "1e308", "--b", "1e-308", "Hp[1e308]"],
+    "eval-0.5-5e-324-Mp[1e16]": ["eval", "--a", "0.5", "--b", "5e-324", "Mp[1e16]"],
+    # both log10 endpoints round to one double: a step of 0
+    "emit-PX-zero-step-5": [
+        "emit", "(P+X)/2", "5", "--grid-min", "1e300", "--grid-max", "1.0000000000000002e300",
+    ],
 }
 # each scalar kernel and the log-offset path, at a pair with a sum overflow
 # and a subnormal G and at a pair inside the series threshold
