@@ -448,6 +448,14 @@ def _power_type_mean(tag, p, a, b, *, pair=None):
         anchor = np.where(wide, np.where(p > 0.0, pair.hi, pair.lo), anchor)
     m = np.exp(expo)
     m *= anchor
+    # M lies in [lo, hi], but within an ulp or two of an end the roundings
+    # of G and e^E can step past it
+    if isinstance(m, np.ndarray):
+        np.minimum(np.maximum(m, pair.lo, out=m), pair.hi, out=m)
+    elif m > pair.hi:  # np.clip costs microseconds on a scalar
+        m = pair.hi
+    elif m < pair.lo:
+        m = pair.lo
     return _ret(_on_diagonal(pair, m), pair.scalar and not p.ndim)
 
 

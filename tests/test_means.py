@@ -362,16 +362,30 @@ class TestPowerTypeAndExponentialMeansOverTheFullRange:
                     ref = oracle(x, y, p)
                 assert _ulps(value, ref) <= 2.0, (p, x, y, value)
 
-    @pytest.mark.xfail(strict=True, reason="G e^E rounds one ulp past lo or hi")
     @pytest.mark.parametrize("kernel", [M.power_mean, M.heronian_mean], ids=["Mp", "Hp"])
     def test_near_pairs_at_huge_orders_stay_in_range(self, kernel):
         # |p y| is about 1 to 100 here, below the wide branch: M = G e^E
-        # with E near -y or y, and each of the two roundings can cross lo or hi
+        # with E near -y or y, where each of the two roundings alone could
+        # cross lo or hi
         lo, ulps = np.array([1.0, 1.5, 10.0]), np.array([1, 2, 5])
         hi = (lo.view(np.int64) + ulps).view(float)
         for p in (1e16, -1e16):
             m = kernel(lo, hi, p)
             assert ((lo <= m) & (m <= hi)).all(), (p, m)
+
+    @pytest.mark.parametrize("kernel", [M.power_mean, M.heronian_mean], ids=["Mp", "Hp"])
+    def test_near_scalar_pairs_stay_in_range_at_each_order(self, kernel):
+        # a scalar pair gives a float per order, or a row for a row of orders
+        orders = np.array([1e16, -1e16, 3e15, -3e15, 1e4])
+        for lo, ulps in ((1.0, 1), (1.5, 2), (10.0, 5)):
+            hi = lo
+            for _ in range(ulps):
+                hi = float(np.nextafter(hi, 2 * lo))
+            row = kernel(hi, lo, orders)
+            values = [kernel(lo, hi, p) for p in orders]
+            assert all(isinstance(v, float) for v in values)
+            assert ((lo <= row) & (row <= hi)).all(), (lo, row)
+            assert all(lo <= v <= hi for v in values), (lo, values)
 
     # both sides of 0 in each branch: p -> 0 (|p| < POWER_LIMIT_THRESHOLD),
     # log1p(2 sinh(p y/2)^2)/p, and |p y| > 700 at the larger ratios
